@@ -27,6 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
+from .generic import _Allocator, _generic_poly, witness
 from .poly import DoubledIndex, PolyExpr, poly_sum
 
 __all__ = [
@@ -111,6 +112,15 @@ class VectorField:
 
     def scaled(self, f: PolyExpr) -> "VectorField":
         return VectorField(self.side, tuple(f * c for c in self.comps))
+
+    def param_indices(self) -> set[int]:
+        return set().union(*(c.param_indices() for c in self.comps))
+
+    def subs_params(self, assignment: dict) -> "VectorField":
+        return VectorField(self.side, tuple(c.subs_params(assignment) for c in self.comps))
+
+    def to_json(self) -> list[str]:
+        return [str(c) for c in self.comps]
 
     def as_form(self) -> "FormField":
         """View as a degree-1 FormField (on the dual side's label)."""
@@ -347,10 +357,6 @@ class FrameAlgebroid:
             return self.structure.get((i, j, k), _ZERO)
         value = self.structure.get((j, i, k))
         return -value if value is not None else _ZERO
-
-    def frame_bracket(self, i: int, j: int) -> VectorField:
-        comps = tuple(self.structure_const(i, j, k) for k in range(1, self.dim + 1))
-        return VectorField(self.side, comps)
 
     def frame_rho_dot(self, i: int, f: PolyExpr) -> PolyExpr:
         """Directional derivative of f along the anchor image of frame i."""
@@ -608,9 +614,7 @@ class ValidationReport:
         return self.ok
 
 
-def _generic_vector(A: FrameAlgebroid, degree: int, alloc) -> VectorField:
-    from .axioms import _generic_poly  # local import to avoid a cycle
-
+def _generic_vector(A: FrameAlgebroid, degree: int, alloc: _Allocator) -> VectorField:
     return VectorField(
         A.side, tuple(_generic_poly(A.dim, degree, None, alloc) for _ in range(A.dim))
     )
@@ -639,71 +643,50 @@ def validate_lie_algebroid(A: FrameAlgebroid, degree: int = 2, start: int = 1) -
     come with small readable witnesses.  The outcome is recorded on the
     algebroid.
     """
-    from .axioms import _Allocator, _first_nonzero, _witness_point
 
     def residuals(X: VectorField, Y: VectorField, Z: VectorField, f: PolyExpr):
         xy = algebroid_bracket(A, X, Y)
-        jac = [
-            (f"jacobi[{k}]", poly)
-            for k, poly in enumerate(
-                (
-                    algebroid_bracket(A, xy, Z)
-                    + algebroid_bracket(A, algebroid_bracket(A, Y, Z), X)
-                    + algebroid_bracket(A, algebroid_bracket(A, Z, X), Y)
-                ).comps,
-                start=1,
-            )
-        ]
+        jac = (
+            algebroid_bracket(A, xy, Z)
+            + algebroid_bracket(A, algebroid_bracket(A, Y, Z), X)
+            + algebroid_bracket(A, algebroid_bracket(A, Z, X), Y)
+        )
         hom_lhs = A.rho_apply(xy)
         hom_rhs = tangent_bracket(A.rho_apply(X), A.rho_apply(Y), A.dim)
-        hom = [
-            (f"anchor-homomorphism[{m}]", a - b)
-            for m, (a, b) in enumerate(zip(hom_lhs, hom_rhs), start=1)
-        ]
         leib = algebroid_bracket(A, X, Y.scaled(f)) - algebroid_bracket(A, X, Y).scaled(f) - Y.scaled(
             A.rho_dot(X, f)
         )
-        leibniz = [(f"leibniz[{k}]", poly) for k, poly in enumerate(leib.comps, start=1)]
-        return jac, hom, leibniz
+        return (
+            [(f"jacobi[{k}]", poly) for k, poly in enumerate(jac.comps, start=1)]
+            + [
+                (f"anchor-homomorphism[{m}]", a - b)
+                for m, (a, b) in enumerate(zip(hom_lhs, hom_rhs), start=1)
+            ]
+            + [(f"leibniz[{k}]", poly) for k, poly in enumerate(leib.comps, start=1)]
+        )
 
     probes = _probe_vectors(A)
     f_probe = PolyExpr.coord(1) * PolyExpr.dual(1)
-    for X in probes[:4]:
-        for Y in probes:
-            for Z in probes[:3]:
-                for group in residuals(X, Y, Z, f_probe):
-                    label, poly = _first_nonzero(group)
-                    if poly is not None:
-                        point, value = _witness_point(poly)
-                        kind = label.split("[")[0]
-                        return ValidationReport(
-                            ok=False,
-                            failed=kind,
-                            witness={
-                                "X": [str(c) for c in X.comps],
-                                "Y": [str(c) for c in Y.comps],
-                                "Z": [str(c) for c in Z.comps],
-                                "component": label,
-                                "point": point,
-                                "value": value,
-                            },
-                            degree=degree,
-                        )
-
-    alloc = _Allocator(start)
-    X, Y, Z = (_generic_vector(A, degree, alloc) for _ in range(3))
-    from .axioms import _generic_poly
-
-    f = _generic_poly(A.dim, degree, None, alloc)
-    for group in residuals(X, Y, Z, f):
-        label, poly = _first_nonzero(group)
-        if poly is not None:
-            from .axioms import _witness_from_generic
-
-            witness = _witness_from_generic(
-                poly, {"X": X.comps, "Y": Y.comps, "Z": Z.comps, "f": (f,)}, label
-            )
-            return ValidationReport(ok=False, failed=label.split("[")[0], witness=witness, degree=degree)
+    probe_inputs = (
+        {"X": X, "Y": Y, "Z": Z, "f": f_probe}
+        for X in probes[:4]
+        for Y in probes
+        for Z in probes[:3]
+    )
+    for inputs in probe_inputs:
+        found = witness(residuals(**inputs), inputs)
+        if found is not None:
+            break
+    else:
+        alloc = _Allocator(start)
+        X, Y, Z = (_generic_vector(A, degree, alloc) for _ in range(3))
+        inputs = {"X": X, "Y": Y, "Z": Z, "f": _generic_poly(A.dim, degree, None, alloc)}
+        found = witness(residuals(**inputs), inputs)
+    if found is not None:
+        record = found[0]
+        return ValidationReport(
+            ok=False, failed=record["component"].split("[")[0], witness=record, degree=degree
+        )
     report = ValidationReport(ok=True, degree=degree)
     A.validation = report
     return report

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebroid import (
@@ -26,6 +27,7 @@ from .algebroid import (
     ESTAR,
     FormField,
     VectorField,
+    _sorted_with_sign,
     algebroid_bracket,
     d_differential,
     interior_product,
@@ -42,10 +44,13 @@ from .doubled import (
     c_bracket,
     flux_contraction,
     pairing,
+    pi_map,
     rho_V,
+    rho_V_dot,
     rho_V_matrix,
     twisted_c_bracket,
 )
+from .generic import Residuals, _Allocator, _generic_poly, monomial_count, witness
 from .poly import (
     KIND_X,
     KIND_XT,
@@ -61,9 +66,13 @@ __all__ = [
     "FAIL",
     "SKIPPED",
     "AxiomReport",
+    "Check",
+    "CheckInputs",
+    "CHECKS",
     "GenericSectionFamily",
     "generic_sections",
     "generic_functions",
+    "parameter_count",
     "jacobiator",
     "t_scalar",
     "compute_J1_J2",
@@ -83,7 +92,6 @@ PASS = "PASS"
 FAIL = "FAIL"
 SKIPPED = "SKIPPED"
 
-AXIOM_IDS = ("C1", "C2", "C3", "C4", "C5")
 CLASSIFICATION_LABELS = (
     "Courant",
     "pre-Courant",
@@ -97,8 +105,6 @@ CLASSIFICATION_LABELS = (
 _ZERO = PolyExpr.zero()
 _THIRD = Fraction(1, 3)
 
-Residuals = list[tuple[str, PolyExpr]]
-
 
 @dataclass(frozen=True)
 class GenericSectionFamily:
@@ -108,9 +114,6 @@ class GenericSectionFamily:
     degree: int = 2
     count: int = 3
     start: int = 1
-
-    def key(self) -> tuple:
-        return (self.degree, self.count, self.start)
 
 
 @dataclass
@@ -138,47 +141,6 @@ class AxiomReport:
         }
 
 
-class _Allocator:
-    """Hands out fresh parameter indices; deterministic given the start."""
-
-    _BUDGET = 100_000
-
-    def __init__(self, start: int = 1):
-        if start < 1:
-            raise ValueError("parameter ordinals start at 1")
-        self.next_index = start
-
-    def fresh(self) -> int:
-        if self.next_index > self._BUDGET:
-            raise RuntimeError("parameter budget exhausted")
-        index = self.next_index
-        self.next_index += 1
-        return index
-
-
-def _admissible_monomials(dim: int, degree: int, admissibility: Admissibility):
-    """Packed coordinate keys of all admissible monomials of total degree
-    <= degree, in a deterministic graded order."""
-    variables = admissibility.allowed_vars(dim)
-    keys = []
-    for d in range(degree + 1):
-        for combo in itertools.combinations_with_replacement(variables, d):
-            poly = PolyExpr.one()
-            for var in combo:
-                poly = poly * PolyExpr.variable(var)
-            (key,) = [mono[0] for mono in poly.terms]
-            keys.append(key)
-    return keys
-
-
-def _generic_poly(dim: int, degree: int, admissibility: Optional[Admissibility], alloc: _Allocator) -> PolyExpr:
-    adm = admissibility or Admissibility.unrestricted()
-    terms = {}
-    for key in _admissible_monomials(dim, degree, adm):
-        terms[(key, (alloc.fresh(),))] = 1
-    return PolyExpr(terms)
-
-
 def _generic_section(R: DoubledRealization, degree: int, alloc: _Allocator) -> DoubledSection:
     comps_x = tuple(_generic_poly(R.dim, degree, R.constraint, alloc) for _ in range(R.dim))
     comps_xi = tuple(_generic_poly(R.dim, degree, R.constraint, alloc) for _ in range(R.dim))
@@ -200,162 +162,52 @@ def generic_functions(
     return [_generic_poly(R.dim, degree, R.function_constraint, alloc) for _ in range(count)]
 
 
-# -- witness extraction -------------------------------------------------------
+def parameter_count(
+    dim: int, family: GenericSectionFamily, constraint: Admissibility, function_constraint: Admissibility
+) -> int:
+    """The highest parameter ordinal any check may allocate for ``family``.
+
+    ``check_axiom`` builds ``family.count`` generic sections,
+    ``check_bianchi`` and ``quadratic_lie_algebra_check`` three, and no
+    check builds more than two test functions (of degree at least 1 in the
+    quadratic check).
+    """
+    sections = max(family.count, 3) * 2 * dim * monomial_count(dim, family.degree, constraint)
+    functions = 2 * monomial_count(dim, max(1, family.degree), function_constraint)
+    return family.start - 1 + sections + functions
 
 
-def _first_nonzero(groups: Residuals) -> tuple[Optional[str], Optional[PolyExpr]]:
-    for label, poly in groups:
-        if not poly.is_zero():
-            return label, poly
-    return None, None
+# -- deciding a check -----------------------------------------------------------
 
 
-def _var_sort_key(var: Var):
-    return (var.index, var.kind)
-
-
-def _greedy_param_assignment(poly: PolyExpr) -> tuple[dict[int, int], PolyExpr]:
-    """The lexicographically smallest 0/1 parameter assignment under which
-    the polynomial stays nonzero (try 0 first for each parameter in index
-    order; fall back to 1 exactly when 0 would kill every monomial)."""
-    assignment: dict[int, int] = {}
-    current = poly
-    for pidx in sorted(current.param_indices()):
-        at_zero = current.subs_params({pidx: 0})
-        if at_zero.is_zero():
-            assignment[pidx] = 1
-            current = current.subs_params({pidx: 1})
-        else:
-            assignment[pidx] = 0
-            current = at_zero
-    return assignment, current
-
-
-def _witness_point(poly: PolyExpr) -> tuple[dict[str, str], str]:
-    """Small integer coordinates making a nonzero polynomial evaluate to a
-    nonzero rational (one variable at a time, smallest value that works)."""
-    current = poly
-    if current.param_indices():
-        _, current = _greedy_param_assignment(current)
-    point: dict[str, str] = {}
-    while True:
-        coords = sorted(current.coord_vars(), key=_var_sort_key)
-        if not coords:
-            break
-        var = coords[0]
-        for value in itertools.count(0):
-            candidate = current.subs_coords({var: value})
-            if not candidate.is_zero():
-                point[str(var)] = str(value)
-                current = candidate
-                break
-    return point, str(current.as_rational())
-
-
-def _render_value(obj) -> object:
-    if isinstance(obj, DoubledSection):
-        return {"X": [str(c) for c in obj.X.comps], "xi": [str(c) for c in obj.xi.comps]}
-    if isinstance(obj, VectorField):
-        return [str(c) for c in obj.comps]
-    if isinstance(obj, PolyExpr):
-        return str(obj)
-    return str(obj)
-
-
-def _subs_params_in(obj, assignment: dict[int, int]):
-    if isinstance(obj, DoubledSection):
-        return DoubledSection.from_parts(
-            tuple(c.subs_params(assignment) for c in obj.X.comps),
-            tuple(c.subs_params(assignment) for c in obj.xi.comps),
-        )
-    if isinstance(obj, VectorField):
-        return VectorField(obj.side, tuple(c.subs_params(assignment) for c in obj.comps))
-    if isinstance(obj, PolyExpr):
-        return obj.subs_params(assignment)
-    return obj
-
-
-def _input_param_indices(inputs: dict) -> set[int]:
-    out: set[int] = set()
-    for obj in inputs.values():
-        if isinstance(obj, DoubledSection):
-            for c in obj.X.comps + obj.xi.comps:
-                out |= c.param_indices()
-        elif isinstance(obj, VectorField):
-            for c in obj.comps:
-                out |= c.param_indices()
-        elif isinstance(obj, PolyExpr):
-            out |= obj.param_indices()
-    return out
-
-
-def _witness_from_inputs(label: str, poly: PolyExpr, inputs: dict) -> tuple[dict, str]:
-    """Build the witness record: substitute the greedy 0/1 assignment into
-    the generic inputs (unused parameters drop to 0), then pick a small
-    coordinate point for the surviving residual component."""
-    assignment, reduced = _greedy_param_assignment(poly)
-    full = {pidx: 0 for pidx in _input_param_indices(inputs)}
-    full.update(assignment)
-    concrete = {name: _subs_params_in(obj, full) for name, obj in inputs.items()}
-    point, value = _witness_point(reduced)
-    witness = {
-        "inputs": {name: _render_value(obj) for name, obj in concrete.items()},
-        "component": label,
-        "point": point,
-        "value": value,
-    }
-    return witness, str(reduced)
-
-
-def _witness_from_generic(poly: PolyExpr, named: dict[str, tuple[PolyExpr, ...]], label: str) -> dict:
-    """Witness for a residual over named component tuples (validation path)."""
-    assignment, reduced = _greedy_param_assignment(poly)
-    every: set[int] = set()
-    for comps in named.values():
-        for c in comps:
-            every |= c.param_indices()
-    full = {p: 0 for p in every}
-    full.update(assignment)
-    point, value = _witness_point(reduced)
-    return {
-        "inputs": {
-            name: [str(c.subs_params(full)) for c in comps] for name, comps in named.items()
-        },
-        "component": label,
-        "point": point,
-        "value": value,
-    }
+def _report(
+    check_id: str, residuals: Residuals, inputs: dict, degree: Optional[int] = None, detail: str = ""
+) -> AxiomReport:
+    """PASS when every residual component vanishes, otherwise FAIL with a
+    witness built on ``inputs``."""
+    found = witness(residuals, inputs)
+    if found is None:
+        return AxiomReport(check_id, PASS, degree=degree, detail=detail)
+    record, residual = found
+    return AxiomReport(check_id, FAIL, witness=record, residual=residual, degree=degree, detail=detail)
 
 
 def _decide(
     check_id: str,
     probes: Iterable[dict],
-    residual_fn: Callable[[dict], Residuals],
+    residual_fn: Callable[..., Residuals],
     generic_inputs: Callable[[], dict],
     degree: int,
     detail: str = "",
 ) -> AxiomReport:
     """Probe concrete inputs for a fast counterexample, then prove on fully
-    generic inputs."""
+    generic inputs.  ``residual_fn`` takes the inputs as keyword arguments."""
     for inputs in probes:
-        label, poly = _first_nonzero(residual_fn(inputs))
-        if poly is not None:
-            point, value = _witness_point(poly)
-            witness = {
-                "inputs": {name: _render_value(obj) for name, obj in inputs.items()},
-                "component": label,
-                "point": point,
-                "value": value,
-            }
-            return AxiomReport(
-                check_id, FAIL, witness=witness, residual=str(poly), degree=degree, detail=detail
-            )
+        report = _report(check_id, residual_fn(**inputs), inputs, degree, detail)
+        if not report.passed():
+            return report
     inputs = generic_inputs()
-    label, poly = _first_nonzero(residual_fn(inputs))
-    if poly is None:
-        return AxiomReport(check_id, PASS, degree=degree, detail=detail)
-    witness, residual = _witness_from_inputs(label, poly, inputs)
-    return AxiomReport(check_id, FAIL, witness=witness, residual=residual, degree=degree, detail=detail)
+    return _report(check_id, residual_fn(**inputs), inputs, degree, detail)
 
 
 # -- probe batteries ----------------------------------------------------------
@@ -404,10 +256,6 @@ def _battery_sections(R: DoubledRealization) -> list[DoubledSection]:
         if all(R.constraint.allows(c) for _, c in s.components())
     ]
     return admissible[:6]
-
-
-def _extra_probe_sections(R: DoubledRealization, explicit: Sequence[DoubledSection]) -> list[DoubledSection]:
-    return list(explicit) + _battery_sections(R)
 
 
 # -- core residuals -----------------------------------------------------------
@@ -496,7 +344,7 @@ def compute_J1_J2(
 
 def _leibniz_residual(R, e1, e2, f, flux) -> DoubledSection:
     br = _bracket_fn(R, flux)
-    anchored = R.E.rho_dot(e1.X, f) + R.Estar.rho_dot(e1.xi, f)
+    anchored = rho_V_dot(R, e1, f)
     return (
         br(e1, e2.scaled(f))
         - br(e1, e2).scaled(f)
@@ -507,8 +355,7 @@ def _leibniz_residual(R, e1, e2, f, flux) -> DoubledSection:
 
 def _compat_residual(R, e1, e2, e3, flux) -> PolyExpr:
     br = _bracket_fn(R, flux)
-    p23 = pairing("+", e2, e3)
-    anchored = R.E.rho_dot(e1.X, p23) + R.Estar.rho_dot(e1.xi, p23)
+    anchored = rho_V_dot(R, e1, pairing("+", e2, e3))
     left = br(e1, e2) + D_op(R, pairing("+", e1, e2))
     right = br(e1, e3) + D_op(R, pairing("+", e1, e3))
     return anchored - pairing("+", left, e3) - pairing("+", e2, right)
@@ -539,14 +386,6 @@ def _c4_residual(R, f, g) -> PolyExpr:
 # -- check_axiom ---------------------------------------------------------------
 
 
-def _cache_get(R: DoubledRealization, key):
-    return R.check_cache.get(key)
-
-
-def _cache_put(R: DoubledRealization, key, report: AxiomReport):
-    R.check_cache[key] = report
-
-
 def _flux_key(flux: Optional[FluxTensor]):
     if flux is None:
         return None
@@ -562,78 +401,64 @@ def check_axiom(
 ) -> AxiomReport:
     """Check one of the five bracket axioms (V1 and V2 are aliases for the
     Leibniz and compatibility axioms) on generic admissible data."""
-    alias = {"V1": "C3", "V2": "C5"}
-    requested = axiom_id
-    axiom_id = alias.get(axiom_id, axiom_id)
-    if axiom_id not in AXIOM_IDS:
-        raise ValueError(f"unknown axiom id {requested!r}")
+    check = CHECKS.get(axiom_id)
+    if check is None or check.run is not _run_axiom:
+        raise ValueError(f"unknown axiom id {axiom_id!r}")
+    requested, axiom_id = axiom_id, check.decides
     family = family or GenericSectionFamily(degree=R.degree, count=R.sections)
-    needed = {"C1": 3, "C2": 2, "C3": 2, "C4": 0, "C5": 3}[axiom_id]
-    if family.count < needed:
+    if family.count < check.sections:
         raise ValueError(
-            f"axiom {axiom_id} needs {needed} sections, family provides {family.count}"
+            f"axiom {axiom_id} needs {check.sections} sections, family provides {family.count}"
         )
     probes_key = tuple(
         tuple(str(comp) for _, comp in sec.components()) for sec in explicit_sections
     )
-    cache_key = ("axiom", axiom_id, family.key(), _flux_key(flux), probes_key)
-    cached = _cache_get(R, cache_key)
+    cache_key = ("axiom", axiom_id, family, _flux_key(flux), probes_key)
+    cached = R.check_cache.get(cache_key)
     if cached is not None:
         return replace(cached, check_id=requested)
 
-    sections = _extra_probe_sections(R, explicit_sections)
+    sections = list(explicit_sections) + _battery_sections(R)
     functions = _battery_functions(R, R.function_constraint)
-    dim = R.dim
-    detail = ""
+    product = itertools.product
+    triples = itertools.islice(product(sections, repeat=3), 120)
+    names, probe_values, residual_fn = {
+        "C1": (
+            ("e1", "e2", "e3"),
+            triples,
+            lambda e1, e2, e3: _c1_residual(R, e1, e2, e3, flux).components(),
+        ),
+        "C2": (
+            ("e1", "e2"),
+            product(sections, repeat=2),
+            lambda e1, e2: _anchor_residual_components(R, e1, e2, flux),
+        ),
+        "C3": (
+            ("e1", "e2", "f"),
+            itertools.islice(product(sections, sections, functions[:3]), 60),
+            lambda e1, e2, f: _leibniz_residual(R, e1, e2, f, flux).components(),
+        ),
+        "C4": (("f", "g"), product(functions, repeat=2), lambda f, g: [("scalar", _c4_residual(R, f, g))]),
+        "C5": (
+            ("e1", "e2", "e3"),
+            triples,
+            lambda e1, e2, e3: [("scalar", _compat_residual(R, e1, e2, e3, flux))],
+        ),
+    }[axiom_id]
+    probes = (dict(zip(names, values)) for values in probe_values)
+    detail = "defect paired against gradients of admissible test functions" if axiom_id == "C2" else ""
 
-    def generic_inputs_sections(n_sections: int, n_functions: int = 0) -> Callable[[], dict]:
-        def build() -> dict:
-            alloc = _Allocator(family.start)
-            secs = [_generic_section(R, family.degree, alloc) for _ in range(family.count)]
-            inputs = {f"e{i}": secs[i - 1] for i in range(1, n_sections + 1)}
-            names = ("f", "g")
-            for i in range(n_functions):
-                inputs[names[i]] = _generic_poly(dim, family.degree, R.function_constraint, alloc)
-            return inputs
-
-        return build
-
-    if axiom_id == "C1":
-        probes = itertools.islice(
-            ({"e1": a, "e2": b, "e3": c} for a, b, c in itertools.product(sections, repeat=3)),
-            120,
-        )
-        residual_fn = lambda ins: _c1_residual(R, ins["e1"], ins["e2"], ins["e3"], flux).components()
-        generic = generic_inputs_sections(3)
-    elif axiom_id == "C2":
-        probes = ({"e1": a, "e2": b} for a, b in itertools.product(sections, repeat=2))
-        residual_fn = lambda ins: _anchor_residual_components(R, ins["e1"], ins["e2"], flux)
-        generic = generic_inputs_sections(2)
-        detail = "defect paired against gradients of admissible test functions"
-    elif axiom_id == "C3":
-        probes = itertools.islice(
-            (
-                {"e1": a, "e2": b, "f": f}
-                for a, b, f in itertools.product(sections, sections, functions[:3])
-            ),
-            60,
-        )
-        residual_fn = lambda ins: _leibniz_residual(R, ins["e1"], ins["e2"], ins["f"], flux).components()
-        generic = generic_inputs_sections(2, n_functions=1)
-    elif axiom_id == "C4":
-        probes = ({"f": f, "g": g} for f, g in itertools.product(functions, repeat=2))
-        residual_fn = lambda ins: [("scalar", _c4_residual(R, ins["f"], ins["g"]))]
-        generic = generic_inputs_sections(0, n_functions=2)
-    else:  # C5
-        probes = itertools.islice(
-            ({"e1": a, "e2": b, "e3": c} for a, b, c in itertools.product(sections, repeat=3)),
-            120,
-        )
-        residual_fn = lambda ins: [("scalar", _compat_residual(R, ins["e1"], ins["e2"], ins["e3"], flux))]
-        generic = generic_inputs_sections(3)
+    def generic() -> dict:
+        # Every family section is allocated first, then the test functions.
+        alloc = _Allocator(family.start)
+        secs = [_generic_section(R, family.degree, alloc) for _ in range(family.count)]
+        inputs = {name: sec for name, sec in zip(names, secs) if name.startswith("e")}
+        for name in names[len(inputs):]:
+            inputs[name] = _generic_poly(R.dim, family.degree, R.function_constraint, alloc)
+        return inputs
 
     report = _decide(axiom_id, probes, residual_fn, generic, family.degree, detail)
-    _cache_put(R, cache_key, report)
+    R.check_cache[cache_key] = report
     return replace(report, check_id=requested)
 
 
@@ -646,15 +471,13 @@ def check_derivation_condition(
     """The dual differential as a derivation of the same-side bracket, on
     generic pairs, together with the mirrored condition on the other side."""
     family = family or GenericSectionFamily(degree=R.degree, count=R.sections)
-    cache_key = ("derivation", family.key())
-    cached = _cache_get(R, cache_key)
+    cache_key = ("derivation", family)
+    cached = R.check_cache.get(cache_key)
     if cached is not None:
         return cached
     Ea, Es = R.E, R.Estar
 
-    def residual_fn(ins: dict) -> Residuals:
-        X, Y = ins["X"], ins["Y"]
-        xi, eta = ins["xi"], ins["eta"]
+    def residual_fn(X: VectorField, Y: VectorField, xi: VectorField, eta: VectorField) -> Residuals:
         primal = (
             d_differential(Es, algebroid_bracket(Ea, X, Y).as_form())
             + schouten(Ea, Y, d_differential(Es, X.as_form()))
@@ -665,28 +488,18 @@ def check_derivation_condition(
             + schouten(Es, eta, d_differential(Ea, xi.as_form()))
             - schouten(Es, xi, d_differential(Ea, eta.as_form()))
         )
-        out: Residuals = []
-        for (i, j), poly in sorted(primal.comps.items()):
-            out.append((f"primal[{i},{j}]", poly))
-        for (i, j), poly in sorted(dual.comps.items()):
-            out.append((f"dual[{i},{j}]", poly))
-        return out
+        return [(f"primal[{i},{j}]", poly) for (i, j), poly in sorted(primal.comps.items())] + [
+            (f"dual[{i},{j}]", poly) for (i, j), poly in sorted(dual.comps.items())
+        ]
 
     batt = _battery_sections(R)
     xs = [s.X for s in batt if not s.X.is_zero()]
     xis = [s.xi for s in batt if not s.xi.is_zero()]
     zero_x = VectorField.zero(E, R.dim)
     zero_xi = VectorField.zero(ESTAR, R.dim)
-    probes = (
-        {"X": a, "Y": b, "xi": zero_xi, "eta": zero_xi}
-        for a, b in itertools.product(xs, repeat=2)
-    )
     probes = itertools.chain(
-        probes,
-        (
-            {"X": zero_x, "Y": zero_x, "xi": a, "eta": b}
-            for a, b in itertools.product(xis, repeat=2)
-        ),
+        ({"X": a, "Y": b, "xi": zero_xi, "eta": zero_xi} for a, b in itertools.product(xs, repeat=2)),
+        ({"X": zero_x, "Y": zero_x, "xi": a, "eta": b} for a, b in itertools.product(xis, repeat=2)),
     )
 
     def generic() -> dict:
@@ -696,11 +509,8 @@ def check_derivation_condition(
         return {"X": sec1.X, "Y": sec2.X, "xi": sec1.xi, "eta": sec2.xi}
 
     report = _decide("derivation", probes, residual_fn, generic, family.degree)
-    _cache_put(R, cache_key, report)
+    R.check_cache[cache_key] = report
     return report
-
-
-_STRONG_IDS = {"functions": "strong-fn", "vectors": "strong-vec", "forms": "strong-form"}
 
 
 def _has_coordinate_anchors(R: DoubledRealization) -> bool:
@@ -720,9 +530,11 @@ def check_strong_constraint(
     """Gradient-pairing residuals of admissible data: function against
     function, vector components, or form components.  Meaningful only for
     the flat identity anchors; anything else is reported SKIPPED."""
-    if level not in _STRONG_IDS:
+    check_id = next(
+        (cid for cid, c in CHECKS.items() if c.run is _run_strong and c.decides == level), None
+    )
+    if check_id is None:
         raise ValueError(f"unknown strong-constraint level {level!r}")
-    check_id = _STRONG_IDS[level]
     family = family or GenericSectionFamily(degree=R.degree, count=R.sections)
     if not _has_coordinate_anchors(R):
         return AxiomReport(
@@ -738,8 +550,8 @@ def check_strong_constraint(
     if level == "functions":
         probes = ({"f": f, "g": g} for f, g in itertools.product(functions, repeat=2))
 
-        def residual_fn(ins: dict) -> Residuals:
-            return [("scalar", eta_pairing(ins["f"], ins["g"]))]
+        def residual_fn(f: PolyExpr, g: PolyExpr) -> Residuals:
+            return [("scalar", eta_pairing(f, g))]
 
         def generic() -> dict:
             alloc = _Allocator(family.start)
@@ -754,12 +566,9 @@ def check_strong_constraint(
             for f, s in itertools.product(functions[:4], sections)
         )
 
-        def residual_fn(ins: dict) -> Residuals:
-            comps = ins["e"].X.comps if part == "X" else ins["e"].xi.comps
-            return [
-                (f"{part}[{mu}]", eta_pairing(ins["f"], comp))
-                for mu, comp in enumerate(comps, start=1)
-            ]
+        def residual_fn(f: PolyExpr, e: DoubledSection) -> Residuals:
+            comps = e.X.comps if part == "X" else e.xi.comps
+            return [(f"{part}[{mu}]", eta_pairing(f, comp)) for mu, comp in enumerate(comps, start=1)]
 
         def generic() -> dict:
             alloc = _Allocator(family.start)
@@ -772,21 +581,12 @@ def check_strong_constraint(
 def check_anchor_antisymmetry(R: DoubledRealization) -> AxiomReport:
     """Entrywise vanishing of the symmetrised composite of the two anchors
     through the frame duality (the skew-anchor condition)."""
-    from .doubled import pi_map
-
     pi = pi_map(R)
-    residuals: Residuals = []
-    for m in range(2 * R.dim):
-        for n in range(2 * R.dim):
-            entry = pi[m][n] + pi[n][m]
-            if not entry.is_zero():
-                residuals.append((f"composite[{m + 1},{n + 1}]", entry))
-    if not residuals:
-        return AxiomReport("anchor-antisym", PASS)
-    label, poly = residuals[0]
-    point, value = _witness_point(poly)
-    witness = {"inputs": {}, "component": label, "point": point, "value": value}
-    return AxiomReport("anchor-antisym", FAIL, witness=witness, residual=str(poly))
+    dim2 = 2 * R.dim
+    residuals = [
+        (f"composite[{m + 1},{n + 1}]", pi[m][n] + pi[n][m]) for m in range(dim2) for n in range(dim2)
+    ]
+    return _report("anchor-antisym", residuals, {})
 
 
 def _determinant(matrix: Sequence[Sequence[PolyExpr]]) -> PolyExpr:
@@ -827,9 +627,8 @@ def check_twist_conditions(R: DoubledRealization, F: FluxTensor) -> list[AxiomRe
     if F.dim != R.dim:
         raise ValueError("flux dimension does not match the realization")
     dim2 = 2 * R.dim
-    reports: list[AxiomReport] = []
 
-    sym: Residuals = []
+    sym = []
     seen: set[tuple[int, int, int]] = set()
     for (m, n, l) in F.entries:
         l_low = l - R.dim if l > R.dim else l + R.dim
@@ -838,33 +637,17 @@ def check_twist_conditions(R: DoubledRealization, F: FluxTensor) -> list[AxiomRe
                 continue
             seen.add(key)
             a, b, c = key
-            entry = F.lowered(a, b, c) + F.lowered(a, c, b)
-            if not entry.is_zero():
-                sym.append((f"F[{a},{b},{c}]+F[{a},{c},{b}]", entry))
-    if not sym:
-        reports.append(AxiomReport("twist-V2", PASS))
-    else:
-        label, poly = sym[0]
-        point, value = _witness_point(poly)
-        reports.append(
-            AxiomReport(
-                "twist-V2",
-                FAIL,
-                witness={"inputs": {}, "component": label, "point": point, "value": value},
-                residual=str(poly),
-            )
-        )
+            sym.append((f"F[{a},{b},{c}]+F[{a},{c},{b}]", F.lowered(a, b, c) + F.lowered(a, c, b)))
 
     rho = rho_V_matrix(R)
-    annihilation: Residuals = []
-    pairs = sorted({(m, n) for (m, n, _l) in F.entries})
-    for (m, n) in pairs:
-        for l_out in range(1, dim2 + 1):
-            entry = poly_sum(
-                rho[l_out - 1][k - 1] * F.component(m, n, k) for k in range(1, dim2 + 1)
-            )
-            if not entry.is_zero():
-                annihilation.append((f"rho.F[{m},{n};{l_out}]", entry))
+    annihilation = [
+        (
+            f"rho.F[{m},{n};{l_out}]",
+            poly_sum(rho[l_out - 1][k - 1] * F.component(m, n, k) for k in range(1, dim2 + 1)),
+        )
+        for (m, n) in sorted({(m, n) for (m, n, _l) in F.entries})
+        for l_out in range(1, dim2 + 1)
+    ]
     detail = ""
     if not F.is_zero():
         det = _determinant(rho)
@@ -872,21 +655,7 @@ def check_twist_conditions(R: DoubledRealization, F: FluxTensor) -> list[AxiomRe
             detail = "anchor determinant vanishes identically"
         else:
             detail = f"anchor determinant is nonzero ({det}); a nonzero twist cannot lie in its kernel"
-    if not annihilation:
-        reports.append(AxiomReport("twist-C2", PASS, detail=detail))
-    else:
-        label, poly = annihilation[0]
-        point, value = _witness_point(poly)
-        reports.append(
-            AxiomReport(
-                "twist-C2",
-                FAIL,
-                witness={"inputs": {}, "component": label, "point": point, "value": value},
-                residual=str(poly),
-                detail=detail,
-            )
-        )
-    return reports
+    return [_report("twist-V2", sym, {}), _report("twist-C2", annihilation, {}, detail=detail)]
 
 
 def _flux_frame_type(R: DoubledRealization, F: FluxTensor) -> Optional[str]:
@@ -929,7 +698,7 @@ def _flux_three_form(R: DoubledRealization, F: FluxTensor, frame: str) -> Option
                         return None
                     continue
                 key = tuple(sorted((a, b, c)))
-                canon = value if _perm_sign((a, b, c)) == 1 else -value
+                canon = value if _sorted_with_sign((a, b, c))[1] == 1 else -value
                 base = comps.get(key)
                 if base is None:
                     comps[key] = canon
@@ -937,19 +706,6 @@ def _flux_three_form(R: DoubledRealization, F: FluxTensor, frame: str) -> Option
                     return None
     on = E if frame == "H" else ESTAR
     return FormField(on, 3, {k: v for k, v in comps.items() if not v.is_zero()}, dim=dim)
-
-
-def _perm_sign(idx: tuple[int, int, int]) -> int:
-    (a, b, c) = idx
-    sign = 1
-    seq = [a, b, c]
-    for i in range(1, 3):
-        j = i
-        while j > 0 and seq[j - 1] > seq[j]:
-            seq[j - 1], seq[j] = seq[j], seq[j - 1]
-            sign = -sign
-            j -= 1
-    return sign
 
 
 def _jac_f_condition_residual(R, F, e1, e2, e3) -> DoubledSection:
@@ -996,13 +752,12 @@ def check_bianchi(
         )
     algebroid = R.E if frame == "H" else R.Estar
     d_three = d_differential(algebroid, three)
-    residuals: Residuals = [
+    residuals = [
         (f"d{'H' if frame == 'H' else 'R'}[{','.join(map(str, key))}]", poly)
         for key, poly in sorted(d_three.comps.items())
     ]
 
-    detail_parts = [f"{frame}-frame twist"]
-    comparison_failed: Optional[tuple[str, PolyExpr, dict]] = None
+    detail = f"{frame}-frame twist"
     one_sided = (
         R.Estar.anchor_is_zero() and not R.Estar.structure
         if frame == "H"
@@ -1015,53 +770,28 @@ def check_bianchi(
         contracted = d_three
         # Slot order pinned by the identity itself: the third section fills
         # the first slot of the 4-form, then the second, then the first.
-        vectors = [s.X if frame == "H" else s.xi for s in reversed(secs)]
-        for v in vectors:
+        for v in [s.X if frame == "H" else s.xi for s in reversed(secs)]:
             contracted = interior_product(v, contracted)
         expected_vec = contracted.as_vector_field()
         if frame == "H":
             expected = DoubledSection(VectorField.zero(E, R.dim), expected_vec)
         else:
             expected = DoubledSection(expected_vec, VectorField.zero(ESTAR, R.dim))
-        mismatch = lhs - expected
-        label, poly = _first_nonzero(mismatch.components())
-        if poly is not None:
-            inputs = {f"e{i}": s for i, s in enumerate(secs, start=1)}
-            witness, residual = _witness_from_inputs(label, poly, inputs)
-            comparison_failed = (residual, poly, witness)
-        else:
-            detail_parts.append(
-                "twisted Jacobi obstruction matches the triple contraction of the derivative on generic sections"
-            )
-    else:
-        detail_parts.append("obstruction comparison skipped: realization is not in the one-sided frame")
-
-    if comparison_failed is not None:
-        residual, _poly, witness = comparison_failed
-        return AxiomReport(
+        comparison = _report(
             "bianchi",
-            FAIL,
-            witness=witness,
-            residual=residual,
-            degree=family.degree,
-            detail="; ".join(
-                detail_parts + ["twisted Jacobi obstruction disagrees with the contracted derivative"]
-            ),
+            (lhs - expected).components(),
+            {f"e{i}": s for i, s in enumerate(secs, start=1)},
+            family.degree,
+            f"{detail}; twisted Jacobi obstruction disagrees with the contracted derivative",
         )
-
-    label, poly = _first_nonzero(residuals)
-    if poly is None:
-        return AxiomReport("bianchi", PASS, degree=family.degree, detail="; ".join(detail_parts))
-    point, value = _witness_point(poly)
-    witness = {"inputs": {}, "component": label, "point": point, "value": value}
-    return AxiomReport(
-        "bianchi",
-        FAIL,
-        witness=witness,
-        residual=str(poly),
-        degree=family.degree,
-        detail="; ".join(detail_parts),
-    )
+        if not comparison.passed():
+            return comparison
+        detail += (
+            "; twisted Jacobi obstruction matches the triple contraction of the derivative on generic sections"
+        )
+    else:
+        detail += "; obstruction comparison skipped: realization is not in the one-sided frame"
+    return _report("bianchi", residuals, {}, family.degree, detail)
 
 
 # -- classification -----------------------------------------------------------
@@ -1133,42 +863,94 @@ def quadratic_lie_algebra_check(
     family = family or GenericSectionFamily(degree=R.degree, count=R.sections)
 
     alloc = _Allocator(family.start)
-    consts = [_generic_section(R, 0, alloc) for _ in range(3)]
-    e1, e2, e3 = consts
+    e1, e2, e3 = (_generic_section(R, 0, alloc) for _ in range(3))
     f = _generic_poly(R.dim, max(1, family.degree), R.function_constraint, alloc)
 
-    reports: list[AxiomReport] = []
-
-    jac = jacobiator(R, e1, e2, e3)
-    label, poly = _first_nonzero(jac.components())
-    if poly is None:
-        reports.append(AxiomReport("quadratic-jacobi", PASS, degree=0))
-    else:
-        witness, residual = _witness_from_inputs(label, poly, {"e1": e1, "e2": e2, "e3": e3})
-        reports.append(
-            AxiomReport("quadratic-jacobi", FAIL, witness=witness, residual=residual, degree=0)
-        )
-
+    triple = {"e1": e1, "e2": e2, "e3": e3}
     bilin = c_bracket(R, e1, e2.scaled(f)) - c_bracket(R, e1, e2).scaled(f)
-    label, poly = _first_nonzero(bilin.components())
-    if poly is None:
-        reports.append(AxiomReport("quadratic-bilinearity", PASS, degree=0))
-    else:
-        witness, residual = _witness_from_inputs(label, poly, {"e1": e1, "e2": e2, "f": f})
-        reports.append(
-            AxiomReport("quadratic-bilinearity", FAIL, witness=witness, residual=residual, degree=0)
-        )
-
     invariance = pairing("+", c_bracket(R, e1, e2), e3) + pairing("+", e2, c_bracket(R, e1, e3))
-    if invariance.is_zero():
-        reports.append(AxiomReport("quadratic-ad-invariance", PASS, degree=0))
-    else:
-        witness, residual = _witness_from_inputs(
-            "scalar", invariance, {"e1": e1, "e2": e2, "e3": e3}
-        )
-        reports.append(
-            AxiomReport(
-                "quadratic-ad-invariance", FAIL, witness=witness, residual=residual, degree=0
-            )
-        )
-    return reports
+    return [
+        _report("quadratic-jacobi", jacobiator(R, e1, e2, e3).components(), triple, 0),
+        _report("quadratic-bilinearity", bilin.components(), {"e1": e1, "e2": e2, "f": f}, 0),
+        _report("quadratic-ad-invariance", [("scalar", invariance)], triple, 0),
+    ]
+
+
+# -- check registry ---------------------------------------------------------------
+
+
+@dataclass
+class CheckInputs:
+    """What the checks of one scenario run share."""
+
+    R: DoubledRealization
+    family: GenericSectionFamily
+    flux: Optional[FluxTensor]
+    explicit_sections: Sequence[DoubledSection]
+
+    @cached_property
+    def twist_reports(self) -> list[AxiomReport]:
+        """Both twist conditions, computed once for twist-V2 and twist-C2."""
+        return check_twist_conditions(self.R, self.flux)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One check id of the scenario runner.
+
+    ``run(inputs, check_id)`` returns its reports, ``sections`` is the
+    least generic section count it accepts, a check with ``needs_flux`` is
+    SKIPPED when the scenario has no flux, and ``decides`` is what its
+    check function is asked for: the axiom that a ``check_axiom`` id
+    decides (V1 and V2 are C3 and C5), or a strong-constraint level.
+    """
+
+    run: Callable[[CheckInputs, str], list[AxiomReport]]
+    sections: int = 0
+    needs_flux: bool = False
+    decides: Optional[str] = None
+
+
+# The registry entries look the check functions up in this module's globals
+# at call time, so a wrapper set on a module attribute sees every call.
+def _run_axiom(inputs: CheckInputs, check_id: str) -> list[AxiomReport]:
+    R, family, flux = inputs.R, inputs.family, inputs.flux
+    return [check_axiom(R, check_id, family, flux, explicit_sections=inputs.explicit_sections)]
+
+
+def _run_strong(inputs: CheckInputs, check_id: str) -> list[AxiomReport]:
+    return [check_strong_constraint(inputs.R, CHECKS[check_id].decides, inputs.family)]
+
+
+def _run_quadratic(inputs: CheckInputs, check_id: str) -> list[AxiomReport]:
+    try:
+        return quadratic_lie_algebra_check(inputs.R, inputs.family)
+    except ValueError as exc:
+        return [AxiomReport(check_id, SKIPPED, detail=str(exc))]
+
+
+def _run_twist(inputs: CheckInputs, check_id: str) -> list[AxiomReport]:
+    return [r for r in inputs.twist_reports if r.check_id == check_id]
+
+
+CHECKS: dict[str, Check] = {
+    "classify": Check(lambda i, c: classify(i.R, i.family, i.flux)[1], sections=3),
+    "V1": Check(_run_axiom, sections=2, decides="C3"),
+    "V2": Check(_run_axiom, sections=3, decides="C5"),
+    "C1": Check(_run_axiom, sections=3, decides="C1"),
+    "C2": Check(_run_axiom, sections=2, decides="C2"),
+    "C3": Check(_run_axiom, sections=2, decides="C3"),
+    "C4": Check(_run_axiom, sections=0, decides="C4"),
+    "C5": Check(_run_axiom, sections=3, decides="C5"),
+    "derivation": Check(lambda i, c: [check_derivation_condition(i.R, i.family)]),
+    "strong-fn": Check(_run_strong, decides="functions"),
+    "strong-vec": Check(_run_strong, decides="vectors"),
+    "strong-form": Check(_run_strong, decides="forms"),
+    "anchor-antisym": Check(lambda i, c: [check_anchor_antisymmetry(i.R)]),
+    "twist-V2": Check(_run_twist, needs_flux=True),
+    "twist-C2": Check(_run_twist, needs_flux=True),
+    "bianchi": Check(lambda i, c: [check_bianchi(i.R, i.flux, i.family)], needs_flux=True),
+    "quadratic": Check(_run_quadratic),
+}
+# The five axioms that classification runs, in order.
+AXIOM_IDS = tuple(sorted({c.decides for c in CHECKS.values() if c.run is _run_axiom}))

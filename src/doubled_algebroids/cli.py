@@ -20,7 +20,8 @@ Scenario files are JSON.  Expressions are strings in the package grammar
 The machine format is canonical (sorted keys, no whitespace variation),
 so identical scenario and seed give byte-identical reports.  Exit status:
 0 when every requested check passes, 1 when any fails, 2 when nothing
-fails but some check was skipped.
+fails but some check was skipped; a malformed scenario prints an error and
+exits with 1.
 """
 
 from __future__ import annotations
@@ -30,39 +31,36 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import __version__
 from .algebroid import E, ESTAR, FrameAlgebroid
 from .axioms import (
+    CHECKS,
     FAIL,
     PASS,
     SKIPPED,
     AxiomReport,
+    CheckInputs,
     GenericSectionFamily,
-    check_anchor_antisymmetry,
-    check_axiom,
-    check_bianchi,
-    check_derivation_condition,
-    check_strong_constraint,
-    check_twist_conditions,
-    classify,
-    quadratic_lie_algebra_check,
+    label_from_statuses,
+    parameter_count,
 )
 from .doubled import Admissibility, DoubledRealization, DoubledSection, FluxTensor, RealizationError
+from .generic import PARAMETER_BUDGET
 from .poly import ExprError, PolyExpr, parse_expr
 
 __all__ = ["Scenario", "Report", "ScenarioError", "load_scenario", "run", "emit_report", "main"]
 
-_AXIOM_CHECKS = ("V1", "V2", "C1", "C2", "C3", "C4", "C5")
-_STRONG_LEVEL = {"strong-fn": "functions", "strong-vec": "vectors", "strong-form": "forms"}
-KNOWN_CHECKS = (
-    ("classify",)
-    + _AXIOM_CHECKS
-    + ("derivation",)
-    + tuple(_STRONG_LEVEL)
-    + ("anchor-antisym", "twist-V2", "twist-C2", "bianchi", "quadratic")
-)
+KNOWN_CHECKS = tuple(CHECKS)
+
+
+def _worst(statuses: Iterable[str]) -> str:
+    """FAIL if any status fails, else SKIPPED if any was skipped, else PASS."""
+    statuses = set(statuses)
+    if FAIL in statuses:
+        return FAIL
+    return SKIPPED if SKIPPED in statuses else PASS
 
 
 class ScenarioError(ValueError):
@@ -122,12 +120,7 @@ class Report:
     requested_status: dict[str, str]
 
     def exit_code(self) -> int:
-        statuses = list(self.requested_status.values())
-        if any(s == FAIL for s in statuses):
-            return 1
-        if any(s == SKIPPED for s in statuses):
-            return 2
-        return 0
+        return {PASS: 0, FAIL: 1, SKIPPED: 2}[_worst(self.requested_status.values())]
 
 
 def _field(data: dict, name: str, types, default=None, required: bool = False):
@@ -136,7 +129,7 @@ def _field(data: dict, name: str, types, default=None, required: bool = False):
             raise ScenarioError(f"missing required field {name!r}")
         return default
     value = data[name]
-    if not isinstance(value, types):
+    if isinstance(value, bool) or not isinstance(value, types):
         raise ScenarioError(f"field {name!r} has the wrong type")
     return value
 
@@ -167,6 +160,22 @@ def _parse_poly(src, dim: int, fieldname: str) -> PolyExpr:
         raise ScenarioError(f"{fieldname}: {exc}") from exc
 
 
+def _parse_entries(raw: list, dim: int, fieldname: str, shape: str) -> dict:
+    """Sparse three-index entries given as [index, index, index, expr]."""
+    entries = {}
+    for t, quad in enumerate(raw):
+        if not (isinstance(quad, list) and len(quad) == 4):
+            raise ScenarioError(f"{fieldname}[{t}] must be {shape}")
+        key, src = tuple(quad[:3]), quad[3]
+        if not all(type(v) is int for v in key):
+            raise ScenarioError(f"{fieldname}[{t}]: indices must be integers")
+        poly = _parse_poly(src, dim, f"{fieldname}[{t}]")
+        if key in entries:
+            raise ScenarioError(f"{fieldname}[{t}]: duplicate indices {key}")
+        entries[key] = poly
+    return entries
+
+
 def _parse_algebroid(raw, side: str, dim: int, fieldname: str) -> FrameAlgebroid:
     if not isinstance(raw, dict):
         raise ScenarioError(f"{fieldname} must be an object with \"anchor\" and \"C\"")
@@ -180,17 +189,7 @@ def _parse_algebroid(raw, side: str, dim: int, fieldname: str) -> FrameAlgebroid
         anchor.append(
             tuple(_parse_poly(src, dim, f"{fieldname}.anchor[{m}][{i}]") for i, src in enumerate(row))
         )
-    structure = {}
-    for t, triple in enumerate(_field(raw, "C", list, default=[])):
-        if not (isinstance(triple, list) and len(triple) == 4):
-            raise ScenarioError(f"{fieldname}.C[{t}] must be [i, j, k, expr]")
-        i, j, k, src = triple
-        if not all(isinstance(v, int) for v in (i, j, k)):
-            raise ScenarioError(f"{fieldname}.C[{t}]: indices must be integers")
-        poly = _parse_poly(src, dim, f"{fieldname}.C[{t}]")
-        if (i, j, k) in structure:
-            raise ScenarioError(f"{fieldname}.C[{t}]: duplicate indices {(i, j, k)}")
-        structure[(i, j, k)] = poly
+    structure = _parse_entries(_field(raw, "C", list, default=[]), dim, f"{fieldname}.C", "[i, j, k, expr]")
     try:
         return FrameAlgebroid(side, dim, anchor, structure)
     except ValueError as exc:
@@ -202,19 +201,8 @@ def _parse_flux(raw, dim: int) -> Optional[FluxTensor]:
         return None
     if not isinstance(raw, list):
         raise ScenarioError("flux must be a list of [M, N, L, expr] quadruples")
-    entries = {}
-    for t, quad in enumerate(raw):
-        if not (isinstance(quad, list) and len(quad) == 4):
-            raise ScenarioError(f"flux[{t}] must be [M, N, L, expr]")
-        m, n, l, src = quad
-        if not all(isinstance(v, int) for v in (m, n, l)):
-            raise ScenarioError(f"flux[{t}]: indices must be integers")
-        poly = _parse_poly(src, dim, f"flux[{t}]")
-        if (m, n, l) in entries:
-            raise ScenarioError(f"flux[{t}]: duplicate indices {(m, n, l)}")
-        entries[(m, n, l)] = poly
     try:
-        return FluxTensor(dim, entries)
+        return FluxTensor(dim, _parse_entries(raw, dim, "flux", "[M, N, L, expr]"))
     except ValueError as exc:
         raise ScenarioError(f"flux: {exc}") from exc
 
@@ -292,6 +280,21 @@ def load_scenario(path: str) -> Scenario:
 
 def run(scenario: Scenario) -> Report:
     """Execute the requested checks and aggregate the report."""
+    for check in scenario.checks:
+        needed = CHECKS[check].sections
+        if scenario.sections < needed:
+            raise ScenarioError(f"check {check} needs sections >= {needed}, got {scenario.sections}")
+    family = GenericSectionFamily(
+        degree=scenario.degree, count=scenario.sections, start=scenario.seed + 1
+    )
+    last = parameter_count(
+        scenario.dimension, family, scenario.admissibility, scenario.function_admissibility
+    )
+    if last > PARAMETER_BUDGET:
+        raise ScenarioError(
+            f"generic data would need parameter ordinals up to {last}, over the budget of "
+            f"{PARAMETER_BUDGET}; lower degree, sections or seed"
+        )
     realization = scenario.realization()
     for s, sec in enumerate(scenario.explicit_sections):
         for label, comp in sec.components():
@@ -299,71 +302,22 @@ def run(scenario: Scenario) -> Report:
                 raise ScenarioError(
                     f"explicit_sections[{s}].{label} violates the admissibility mask"
                 )
-    family = GenericSectionFamily(
-        degree=scenario.degree, count=scenario.sections, start=scenario.seed + 1
-    )
-    flux = scenario.flux
+    inputs = CheckInputs(realization, family, scenario.flux, scenario.explicit_sections)
     entries: list[AxiomReport] = []
     requested_status: dict[str, str] = {}
     label: Optional[str] = None
 
     for check in scenario.checks:
+        if CHECKS[check].needs_flux and scenario.flux is None:
+            reports = [AxiomReport(check, SKIPPED, detail="no flux tensor in the scenario")]
+        else:
+            reports = CHECKS[check].run(inputs, check)
+        entries.extend(reports)
         if check == "classify":
-            label, reports = classify(realization, family, flux)
-            entries.extend(reports)
+            label, _ = label_from_statuses({r.check_id for r in reports if r.passed()})
             requested_status[check] = PASS  # classification itself always completes
-        elif check in _AXIOM_CHECKS:
-            report = check_axiom(
-                realization, check, family, flux, explicit_sections=scenario.explicit_sections
-            )
-            entries.append(report)
-            requested_status[check] = report.status
-        elif check == "derivation":
-            report = check_derivation_condition(realization, family)
-            entries.append(report)
-            requested_status[check] = report.status
-        elif check in _STRONG_LEVEL:
-            report = check_strong_constraint(realization, _STRONG_LEVEL[check], family)
-            entries.append(report)
-            requested_status[check] = report.status
-        elif check == "anchor-antisym":
-            report = check_anchor_antisymmetry(realization)
-            entries.append(report)
-            requested_status[check] = report.status
-        elif check in ("twist-V2", "twist-C2"):
-            if flux is None:
-                report = AxiomReport(check, SKIPPED, detail="no flux tensor in the scenario")
-                entries.append(report)
-                requested_status[check] = SKIPPED
-            else:
-                for report in check_twist_conditions(realization, flux):
-                    if report.check_id == check:
-                        entries.append(report)
-                        requested_status[check] = report.status
-        elif check == "bianchi":
-            if flux is None:
-                report = AxiomReport(check, SKIPPED, detail="no flux tensor in the scenario")
-                entries.append(report)
-                requested_status[check] = SKIPPED
-            else:
-                report = check_bianchi(realization, flux, family)
-                entries.append(report)
-                requested_status[check] = report.status
-        elif check == "quadratic":
-            try:
-                reports = quadratic_lie_algebra_check(realization, family)
-            except ValueError as exc:
-                reports = [AxiomReport("quadratic", SKIPPED, detail=str(exc))]
-            entries.extend(reports)
-            worst = PASS
-            for report in reports:
-                if report.status == FAIL:
-                    worst = FAIL
-                elif report.status == SKIPPED and worst != FAIL:
-                    worst = SKIPPED
-            requested_status[check] = worst
-        else:  # pragma: no cover - guarded by parse_scenario
-            raise ScenarioError(f"unknown check id {check!r}")
+        else:
+            requested_status[check] = _worst(r.status for r in reports)
 
     return Report(
         scenario_digest=scenario.digest(),

@@ -33,7 +33,7 @@ from .algebroid import (
     lie_derivative,
     validate_lie_algebroid,
 )
-from .poly import KIND_X, KIND_XT, DoubledIndex, PolyExpr, Var, poly_sum
+from .poly import KIND_X, KIND_XT, DoubledIndex, PolyExpr, Var, coordinate_vars, poly_sum
 
 __all__ = [
     "Admissibility",
@@ -103,7 +103,7 @@ class Admissibility:
         return poly.coord_support_within(self.mask)
 
     def allowed_vars(self, dim: int) -> list[Var]:
-        every = [Var(k, mu) for mu in range(1, dim + 1) for k in (KIND_X, KIND_XT)]
+        every = coordinate_vars(dim)
         if self.mask is None:
             return every
         return [v for v in every if v in self.mask]
@@ -146,6 +146,15 @@ class DoubledSection:
     def scaled(self, f: PolyExpr) -> "DoubledSection":
         return DoubledSection(self.X.scaled(f), self.xi.scaled(f))
 
+    def param_indices(self) -> set[int]:
+        return self.X.param_indices() | self.xi.param_indices()
+
+    def subs_params(self, assignment: dict) -> "DoubledSection":
+        return DoubledSection(self.X.subs_params(assignment), self.xi.subs_params(assignment))
+
+    def to_json(self) -> dict[str, list[str]]:
+        return {"X": self.X.to_json(), "xi": self.xi.to_json()}
+
     def doubled_components(self) -> tuple[PolyExpr, ...]:
         """The 2D chart-indexed components (X^mu first, then xi_mu)."""
         return self.X.comps + self.xi.comps
@@ -176,8 +185,7 @@ class DoubledRealization:
     Construction validates with affine generic sections: the three
     defining identities are multilinear in section values and first
     derivatives (all second-derivative terms cancel for any anchor), so
-    degree-1 genericity already decides them for all sections; raise
-    ``validation_degree`` to make the run reprove this at higher degree.
+    degree-1 genericity already decides them for all sections.
     """
 
     __slots__ = (
@@ -199,7 +207,6 @@ class DoubledRealization:
         function_constraint: Optional[Admissibility] = None,
         degree: int = 2,
         sections: int = 3,
-        validation_degree: int = 1,
     ):
         if E_algebroid.side != E or Estar_algebroid.side != ESTAR:
             raise RealizationError("realization needs one side-E and one side-E* algebroid")
@@ -216,7 +223,7 @@ class DoubledRealization:
         self.sections = sections
         self.check_cache: dict = {}
         for A in (self.E, self.Estar):
-            report = A.validation or validate_lie_algebroid(A, degree=validation_degree)
+            report = A.validation or validate_lie_algebroid(A, degree=1)
             if not report.ok:
                 raise RealizationError(
                     f"side-{A.side} algebroid fails the {report.failed} identity: "
@@ -237,17 +244,6 @@ class DoubledRealization:
                     f"admissibility mask {self.constraint.describe()}"
                 )
         return sec
-
-    def is_flat_identity(self) -> bool:
-        """True for the flat coordinate realization (inclusion anchors)."""
-        one, zero = PolyExpr.one(), _ZERO
-        for i in range(self.dim):
-            for m in range(2 * self.dim):
-                want_e = one if m == i else zero
-                want_es = one if m == self.dim + i else zero
-                if self.E.anchor[m][i] != want_e or self.Estar.anchor[m][i] != want_es:
-                    return False
-        return bool(not self.E.structure and not self.Estar.structure)
 
     # -- flat-realization constructor ---------------------------------------
 

@@ -28,6 +28,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Union
 __all__ = [
     "Var",
     "DoubledIndex",
+    "coordinate_vars",
     "PolyExpr",
     "ExprError",
     "parse_expr",
@@ -88,6 +89,11 @@ class DoubledIndex(NamedTuple):
 
     def var(self) -> Var:
         return Var(self.kind, self.mu)
+
+
+def coordinate_vars(dim: int) -> list[Var]:
+    """Every chart coordinate in packing order: x1, xt1, x2, xt2, ..."""
+    return [Var(kind, mu) for mu in range(1, dim + 1) for kind in (KIND_X, KIND_XT)]
 
 
 def _slot(kind: str, mu: int) -> int:

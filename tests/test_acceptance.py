@@ -24,8 +24,6 @@ from doubled_algebroids.axioms import (
     FAIL,
     PASS,
     GenericSectionFamily,
-    _Allocator,
-    _generic_poly,
     _generic_section,
     _jac_f_condition_residual,
     check_axiom,
@@ -48,6 +46,7 @@ from doubled_algebroids.doubled import (
     c_bracket,
     poisson_bracket,
 )
+from doubled_algebroids.generic import _Allocator, _generic_poly
 from doubled_algebroids.poly import PolyExpr, Var
 
 SCENARIOS = Path(__file__).parent / "fixtures" / "scenarios"

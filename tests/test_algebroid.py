@@ -83,11 +83,19 @@ def test_validate_zero_anchor_linear_structure_function():
 
 
 def test_validate_reports_jacobi_failure_with_witness():
-    A = FrameAlgebroid.zero_anchor(E, 3, {(1, 2, 1): ONE, (2, 3, 2): ONE})
-    report = validate_lie_algebroid(A, degree=1)
-    assert not report.ok
-    assert report.failed == "jacobi"
-    assert report.witness["component"].startswith("jacobi")
+    # The probes never bracket three distinct frames, so this Jacobi failure
+    # is found on generic data; the anchor defect is found by a probe.  Both
+    # phases give the witness shape of the axiom checks.
+    jacobi = FrameAlgebroid.zero_anchor(E, 3, {(1, 2, 1): ONE, (2, 3, 2): ONE})
+    anchor = FrameAlgebroid(E, 2, [[ONE, ZERO], [ZERO, PolyExpr.coord(1)], [ZERO, ZERO], [ZERO, ZERO]])
+    for A, failed, f in ((jacobi, "jacobi", "0"), (anchor, "anchor-homomorphism", "x1*xt1")):
+        report = validate_lie_algebroid(A, degree=1)
+        assert not report.ok
+        assert report.failed == failed
+        assert set(report.witness) == {"inputs", "component", "point", "value"}
+        assert report.witness["component"].startswith(failed)
+        assert set(report.witness["inputs"]) == {"X", "Y", "Z", "f"}
+        assert report.witness["inputs"]["f"] == f
 
 
 def test_validate_reports_anchor_homomorphism_failure():
@@ -202,7 +210,7 @@ def test_affine_action_algebroid_validates():
 def test_differential_squares_to_zero_generic_forms():
     # generic parameter-coefficient forms on validated algebroids with
     # constant, vanishing, and coordinate-dependent anchors
-    from doubled_algebroids.axioms import _Allocator, _generic_poly
+    from doubled_algebroids.generic import _Allocator, _generic_poly
 
     fixtures = [
         coord(2),

@@ -15,7 +15,6 @@ from doubled_algebroids.axioms import (
     PASS,
     SKIPPED,
     GenericSectionFamily,
-    _Allocator,
     _generic_section,
     check_anchor_antisymmetry,
     check_axiom,
@@ -40,6 +39,7 @@ from doubled_algebroids.doubled import (
     c_bracket,
     pairing,
 )
+from doubled_algebroids.generic import _Allocator
 from doubled_algebroids.poly import PolyExpr, Var
 
 ZERO = PolyExpr.zero()

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from doubled_algebroids import axioms
 from doubled_algebroids.cli import (
     ScenarioError,
     emit_report,
@@ -27,6 +28,10 @@ def minimal_scenario(**overrides):
     }
     data.update(overrides)
     return data
+
+
+def flat_anchors(dim, offset):
+    return [["1" if m == offset + i else "0" for i in range(dim)] for m in range(2 * dim)]
 
 
 # -- loading -------------------------------------------------------------------
@@ -220,6 +225,69 @@ def test_main_reports_scenario_errors(tmp_path, capsys):
     code = main(["run", str(scenario_path)])
     assert code == 1
     assert "missing required field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, argv, message",
+    [
+        ({"dimension": True}, [], "'dimension' has the wrong type"),
+        ({"seed": 99999}, [], "over the budget"),
+        ({"sections": 1, "checks": ["C3"]}, [], "C3 needs sections >= 2"),
+        ({"sections": 1}, [], "classify needs sections >= 3"),
+        ({"flux": [[True, 2, 1, "1"]], "checks": ["C4"]}, [], "flux[0]: indices must be integers"),
+        (
+            {
+                "dimension": 2,
+                "algebroid_E": {"anchor": flat_anchors(2, 0), "C": [[True, 2, 1, "0"]]},
+                "algebroid_Estar": {"anchor": flat_anchors(2, 2), "C": []},
+                "checks": ["C4"],
+            },
+            [],
+            "algebroid_E.C[0]: indices must be integers",
+        ),
+        (
+            {
+                "dimension": 3,
+                "algebroid_E": {"anchor": flat_anchors(3, 0), "C": []},
+                "algebroid_Estar": {"anchor": flat_anchors(3, 3), "C": []},
+                "checks": ["C4"],
+            },
+            ["--degree", "50"],
+            "over the budget",
+        ),
+    ],
+    ids=[
+        "dimension-bool",
+        "seed-over-budget",
+        "sections-below-C3",
+        "sections-below-classify",
+        "flux-index-bool",
+        "structure-index-bool",
+        "degree-over-budget",
+    ],
+)
+def test_main_rejects_bad_input_with_scenario_error(tmp_path, capsys, overrides, argv, message):
+    scenario_path = tmp_path / "s.json"
+    scenario_path.write_text(json.dumps(minimal_scenario(**overrides)), encoding="utf-8")
+    assert main(["run", str(scenario_path), *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
+def test_twist_conditions_run_once_per_run(monkeypatch):
+    calls = []
+    original = axioms.check_twist_conditions
+
+    def counted(R, F):
+        calls.append(F)
+        return original(R, F)
+
+    monkeypatch.setattr(axioms, "check_twist_conditions", counted)
+    report = run(parse_scenario(minimal_scenario(flux=[[1, 1, 1, "1"]], checks=["twist-V2", "twist-C2"])))
+    assert [e.check_id for e in report.entries] == ["twist-V2", "twist-C2"]
+    assert len(calls) == 1
 
 
 def test_console_entry_point(tmp_path):

@@ -5,7 +5,8 @@ import pytest
 
 import oracles
 from doubled_algebroids.algebroid import E, ESTAR, FrameAlgebroid, VectorField
-from doubled_algebroids.axioms import _Allocator, _generic_poly, _generic_section
+from doubled_algebroids.axioms import _generic_section
+from doubled_algebroids.generic import _Allocator, _generic_poly
 from doubled_algebroids.doubled import (
     Admissibility,
     DoubledRealization,
