@@ -635,6 +635,36 @@ def _probe_vectors(A: FrameAlgebroid) -> list[VectorField]:
     return fields
 
 
+def _lie_algebroid_residuals(
+    A: FrameAlgebroid, X: VectorField, Y: VectorField, Z: VectorField, f: PolyExpr
+) -> list[tuple[str, PolyExpr]]:
+    """Jacobi identity, anchor homomorphism and Leibniz rule, as residuals.
+
+    Each is of order at most 1 in every input (the second-derivative terms
+    of the Jacobiator cancel for any anchor), so degree-1 generic inputs
+    decide them for all sections.
+    """
+    xy = algebroid_bracket(A, X, Y)
+    jac = (
+        algebroid_bracket(A, xy, Z)
+        + algebroid_bracket(A, algebroid_bracket(A, Y, Z), X)
+        + algebroid_bracket(A, algebroid_bracket(A, Z, X), Y)
+    )
+    hom_lhs = A.rho_apply(xy)
+    hom_rhs = tangent_bracket(A.rho_apply(X), A.rho_apply(Y), A.dim)
+    leib = algebroid_bracket(A, X, Y.scaled(f)) - algebroid_bracket(A, X, Y).scaled(f) - Y.scaled(
+        A.rho_dot(X, f)
+    )
+    return (
+        [(f"jacobi[{k}]", poly) for k, poly in enumerate(jac.comps, start=1)]
+        + [
+            (f"anchor-homomorphism[{m}]", a - b)
+            for m, (a, b) in enumerate(zip(hom_lhs, hom_rhs), start=1)
+        ]
+        + [(f"leibniz[{k}]", poly) for k, poly in enumerate(leib.comps, start=1)]
+    )
+
+
 def validate_lie_algebroid(A: FrameAlgebroid, degree: int = 2, start: int = 1) -> ValidationReport:
     """Check the Jacobi identity, anchor homomorphism and Leibniz rule.
 
@@ -643,27 +673,6 @@ def validate_lie_algebroid(A: FrameAlgebroid, degree: int = 2, start: int = 1) -
     come with small readable witnesses.  The outcome is recorded on the
     algebroid.
     """
-
-    def residuals(X: VectorField, Y: VectorField, Z: VectorField, f: PolyExpr):
-        xy = algebroid_bracket(A, X, Y)
-        jac = (
-            algebroid_bracket(A, xy, Z)
-            + algebroid_bracket(A, algebroid_bracket(A, Y, Z), X)
-            + algebroid_bracket(A, algebroid_bracket(A, Z, X), Y)
-        )
-        hom_lhs = A.rho_apply(xy)
-        hom_rhs = tangent_bracket(A.rho_apply(X), A.rho_apply(Y), A.dim)
-        leib = algebroid_bracket(A, X, Y.scaled(f)) - algebroid_bracket(A, X, Y).scaled(f) - Y.scaled(
-            A.rho_dot(X, f)
-        )
-        return (
-            [(f"jacobi[{k}]", poly) for k, poly in enumerate(jac.comps, start=1)]
-            + [
-                (f"anchor-homomorphism[{m}]", a - b)
-                for m, (a, b) in enumerate(zip(hom_lhs, hom_rhs), start=1)
-            ]
-            + [(f"leibniz[{k}]", poly) for k, poly in enumerate(leib.comps, start=1)]
-        )
 
     probes = _probe_vectors(A)
     f_probe = PolyExpr.coord(1) * PolyExpr.dual(1)
@@ -674,14 +683,14 @@ def validate_lie_algebroid(A: FrameAlgebroid, degree: int = 2, start: int = 1) -
         for Z in probes[:3]
     )
     for inputs in probe_inputs:
-        found = witness(residuals(**inputs), inputs)
+        found = witness(_lie_algebroid_residuals(A, **inputs), inputs)
         if found is not None:
             break
     else:
         alloc = _Allocator(start)
         X, Y, Z = (_generic_vector(A, degree, alloc) for _ in range(3))
         inputs = {"X": X, "Y": Y, "Z": Z, "f": _generic_poly(A.dim, degree, None, alloc)}
-        found = witness(residuals(**inputs), inputs)
+        found = witness(_lie_algebroid_residuals(A, **inputs), inputs)
     if found is not None:
         record = found[0]
         return ValidationReport(

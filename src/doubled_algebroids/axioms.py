@@ -1,17 +1,22 @@
 """Mechanical verification of the bracket axioms, with witnesses.
 
 Every check reduces an axiom to polynomial residuals and decides them by
-canonical-form zero testing.  PASS means the residual is identically zero
-for fully generic inputs of bounded coefficient degree (fresh parameter
-coefficients on every admissible monomial), which is a proof for all data
-of that degree and strong evidence in general.  FAIL always carries a
-witness: a concrete substitution under which some residual component
-evaluates to a nonzero rational.
+canonical-form zero testing on generic inputs: a fresh parameter
+coefficient on every admissible monomial of every component.  Each
+residual is a multilinear differential operator of some order k in each
+input (``JET_ORDER``), so its value at a point depends only on the k-jets
+of the inputs there.  Generic data of degree k takes every admissible
+k-jet at every point, so a PASS of an order-k check proved at degree
+k <= the family degree covers all admissible polynomial data of any
+degree.  FAIL always carries a witness: a concrete substitution under
+which some residual component evaluates to a nonzero rational.
 
 Checks probe a small deterministic battery of concrete inputs first, so
 failures are found fast and come with small readable counterexamples; the
 generic computation only has to run when everything passes, where it is
-the proof.
+the proof.  It runs at degree ``min(order, family degree)``; only when it
+fails are the inputs rebuilt at the family degree, so witnesses come from
+full-degree data.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebroid import (
@@ -192,21 +197,52 @@ def _report(
     return AxiomReport(check_id, FAIL, witness=record, residual=residual, degree=degree, detail=detail)
 
 
+# The order of each generic residual, keyed by the check id given to
+# ``_decide``: in every input it is a differential operator of at most this
+# order, in Grothendieck's algebraic sense (EGA IV 16.8): every (k+1)-fold
+# commutator with multiplication by admissible coordinates vanishes, which
+# tests/test_jet_order.py checks for each entry.  Such an operator's value
+# at a point depends only on the k-jets of its inputs there.  Generic data
+# of degree k takes every admissible k-jet at every point, so a residual
+# that vanishes on it vanishes for admissible data of any degree.  The
+# brackets, D and the anchor derivative are first order, so is every
+# residual that applies them once; C1 nests a bracket in a bracket and the
+# derivation condition a bracket in a differential.
+JET_ORDER = {
+    "C1": 2,
+    "C2": 1,
+    "C3": 1,
+    "C4": 1,
+    "C5": 1,
+    "derivation": 2,
+    "strong-fn": 1,
+    "strong-vec": 1,
+    "strong-form": 1,
+    "bianchi": 1,
+}
+
+
 def _decide(
     check_id: str,
     probes: Iterable[dict],
     residual_fn: Callable[..., Residuals],
-    generic_inputs: Callable[[], dict],
+    generic_inputs: Callable[[int], dict],
     degree: int,
     detail: str = "",
 ) -> AxiomReport:
-    """Probe concrete inputs for a fast counterexample, then prove on fully
-    generic inputs.  ``residual_fn`` takes the inputs as keyword arguments."""
+    """Probe concrete inputs for a fast counterexample, then prove on generic
+    inputs of degree ``min(JET_ORDER[check_id], degree)``.  If that proof
+    fails, the inputs are rebuilt at ``degree`` for the witness.
+    ``residual_fn`` takes the inputs as keyword arguments and
+    ``generic_inputs`` the degree of the generic data."""
     for inputs in probes:
         report = _report(check_id, residual_fn(**inputs), inputs, degree, detail)
         if not report.passed():
             return report
-    inputs = generic_inputs()
+    jet = min(JET_ORDER[check_id], degree)
+    if jet < degree and all(poly.is_zero() for _, poly in residual_fn(**generic_inputs(jet))):
+        return AxiomReport(check_id, PASS, degree=degree, detail=detail)
+    inputs = generic_inputs(degree)
     return _report(check_id, residual_fn(**inputs), inputs, degree, detail)
 
 
@@ -392,6 +428,20 @@ def _flux_key(flux: Optional[FluxTensor]):
     return tuple(sorted((m, n, l, str(p)) for (m, n, l), p in flux.entries.items()))
 
 
+def _axiom_residual(
+    R: DoubledRealization, axiom_id: str, flux: Optional[FluxTensor]
+) -> Callable[..., Residuals]:
+    """The residual of one of the five axioms; its inputs are sections
+    ``e1, e2, e3`` and test functions ``f, g``, as keyword arguments."""
+    return {
+        "C1": lambda e1, e2, e3: _c1_residual(R, e1, e2, e3, flux).components(),
+        "C2": lambda e1, e2: _anchor_residual_components(R, e1, e2, flux),
+        "C3": lambda e1, e2, f: _leibniz_residual(R, e1, e2, f, flux).components(),
+        "C4": lambda f, g: [("scalar", _c4_residual(R, f, g))],
+        "C5": lambda e1, e2, e3: [("scalar", _compat_residual(R, e1, e2, e3, flux))],
+    }[axiom_id]
+
+
 def check_axiom(
     R: DoubledRealization,
     axiom_id: str,
@@ -422,39 +472,24 @@ def check_axiom(
     functions = _battery_functions(R, R.function_constraint)
     product = itertools.product
     triples = itertools.islice(product(sections, repeat=3), 120)
-    names, probe_values, residual_fn = {
-        "C1": (
-            ("e1", "e2", "e3"),
-            triples,
-            lambda e1, e2, e3: _c1_residual(R, e1, e2, e3, flux).components(),
-        ),
-        "C2": (
-            ("e1", "e2"),
-            product(sections, repeat=2),
-            lambda e1, e2: _anchor_residual_components(R, e1, e2, flux),
-        ),
-        "C3": (
-            ("e1", "e2", "f"),
-            itertools.islice(product(sections, sections, functions[:3]), 60),
-            lambda e1, e2, f: _leibniz_residual(R, e1, e2, f, flux).components(),
-        ),
-        "C4": (("f", "g"), product(functions, repeat=2), lambda f, g: [("scalar", _c4_residual(R, f, g))]),
-        "C5": (
-            ("e1", "e2", "e3"),
-            triples,
-            lambda e1, e2, e3: [("scalar", _compat_residual(R, e1, e2, e3, flux))],
-        ),
+    names, probe_values = {
+        "C1": (("e1", "e2", "e3"), triples),
+        "C2": (("e1", "e2"), product(sections, repeat=2)),
+        "C3": (("e1", "e2", "f"), itertools.islice(product(sections, sections, functions[:3]), 60)),
+        "C4": (("f", "g"), product(functions, repeat=2)),
+        "C5": (("e1", "e2", "e3"), triples),
     }[axiom_id]
+    residual_fn = _axiom_residual(R, axiom_id, flux)
     probes = (dict(zip(names, values)) for values in probe_values)
     detail = "defect paired against gradients of admissible test functions" if axiom_id == "C2" else ""
 
-    def generic() -> dict:
+    def generic(degree: int) -> dict:
         # Every family section is allocated first, then the test functions.
         alloc = _Allocator(family.start)
-        secs = [_generic_section(R, family.degree, alloc) for _ in range(family.count)]
+        secs = [_generic_section(R, degree, alloc) for _ in range(family.count)]
         inputs = {name: sec for name, sec in zip(names, secs) if name.startswith("e")}
         for name in names[len(inputs):]:
-            inputs[name] = _generic_poly(R.dim, family.degree, R.function_constraint, alloc)
+            inputs[name] = _generic_poly(R.dim, degree, R.function_constraint, alloc)
         return inputs
 
     report = _decide(axiom_id, probes, residual_fn, generic, family.degree, detail)
@@ -463,6 +498,23 @@ def check_axiom(
 
 
 # -- further conditions --------------------------------------------------------
+
+
+def _derivation_residual(R, X, Y, xi, eta) -> Residuals:
+    Ea, Es = R.E, R.Estar
+    primal = (
+        d_differential(Es, algebroid_bracket(Ea, X, Y).as_form())
+        + schouten(Ea, Y, d_differential(Es, X.as_form()))
+        - schouten(Ea, X, d_differential(Es, Y.as_form()))
+    )
+    dual = (
+        d_differential(Ea, algebroid_bracket(Es, xi, eta).as_form())
+        + schouten(Es, eta, d_differential(Ea, xi.as_form()))
+        - schouten(Es, xi, d_differential(Ea, eta.as_form()))
+    )
+    return [(f"primal[{i},{j}]", poly) for (i, j), poly in sorted(primal.comps.items())] + [
+        (f"dual[{i},{j}]", poly) for (i, j), poly in sorted(dual.comps.items())
+    ]
 
 
 def check_derivation_condition(
@@ -475,23 +527,6 @@ def check_derivation_condition(
     cached = R.check_cache.get(cache_key)
     if cached is not None:
         return cached
-    Ea, Es = R.E, R.Estar
-
-    def residual_fn(X: VectorField, Y: VectorField, xi: VectorField, eta: VectorField) -> Residuals:
-        primal = (
-            d_differential(Es, algebroid_bracket(Ea, X, Y).as_form())
-            + schouten(Ea, Y, d_differential(Es, X.as_form()))
-            - schouten(Ea, X, d_differential(Es, Y.as_form()))
-        )
-        dual = (
-            d_differential(Ea, algebroid_bracket(Es, xi, eta).as_form())
-            + schouten(Es, eta, d_differential(Ea, xi.as_form()))
-            - schouten(Es, xi, d_differential(Ea, eta.as_form()))
-        )
-        return [(f"primal[{i},{j}]", poly) for (i, j), poly in sorted(primal.comps.items())] + [
-            (f"dual[{i},{j}]", poly) for (i, j), poly in sorted(dual.comps.items())
-        ]
-
     batt = _battery_sections(R)
     xs = [s.X for s in batt if not s.X.is_zero()]
     xis = [s.xi for s in batt if not s.xi.is_zero()]
@@ -502,13 +537,13 @@ def check_derivation_condition(
         ({"X": zero_x, "Y": zero_x, "xi": a, "eta": b} for a, b in itertools.product(xis, repeat=2)),
     )
 
-    def generic() -> dict:
+    def generic(degree: int) -> dict:
         alloc = _Allocator(family.start)
-        sec1 = _generic_section(R, family.degree, alloc)
-        sec2 = _generic_section(R, family.degree, alloc)
+        sec1 = _generic_section(R, degree, alloc)
+        sec2 = _generic_section(R, degree, alloc)
         return {"X": sec1.X, "Y": sec2.X, "xi": sec1.xi, "eta": sec2.xi}
 
-    report = _decide("derivation", probes, residual_fn, generic, family.degree)
+    report = _decide("derivation", probes, partial(_derivation_residual, R), generic, family.degree)
     R.check_cache[cache_key] = report
     return report
 
@@ -522,6 +557,15 @@ def _has_coordinate_anchors(R: DoubledRealization) -> bool:
             if R.E.anchor[m][i] != want_e or R.Estar.anchor[m][i] != want_es:
                 return False
     return True
+
+
+def _strong_fn_residual(f: PolyExpr, g: PolyExpr) -> Residuals:
+    return [("scalar", eta_pairing(f, g))]
+
+
+def _strong_part_residual(part: str, f: PolyExpr, e: DoubledSection) -> Residuals:
+    comps = e.X.comps if part == "X" else e.xi.comps
+    return [(f"{part}[{mu}]", eta_pairing(f, comp)) for mu, comp in enumerate(comps, start=1)]
 
 
 def check_strong_constraint(
@@ -549,31 +593,25 @@ def check_strong_constraint(
 
     if level == "functions":
         probes = ({"f": f, "g": g} for f, g in itertools.product(functions, repeat=2))
+        residual_fn = _strong_fn_residual
 
-        def residual_fn(f: PolyExpr, g: PolyExpr) -> Residuals:
-            return [("scalar", eta_pairing(f, g))]
-
-        def generic() -> dict:
+        def generic(degree: int) -> dict:
             alloc = _Allocator(family.start)
-            f = _generic_poly(R.dim, family.degree, R.function_constraint, alloc)
-            g = _generic_poly(R.dim, family.degree, R.function_constraint, alloc)
+            f = _generic_poly(R.dim, degree, R.function_constraint, alloc)
+            g = _generic_poly(R.dim, degree, R.function_constraint, alloc)
             return {"f": f, "g": g}
 
     else:
-        part = "X" if level == "vectors" else "xi"
         probes = (
             {"f": f, "e": s}
             for f, s in itertools.product(functions[:4], sections)
         )
+        residual_fn = partial(_strong_part_residual, "X" if level == "vectors" else "xi")
 
-        def residual_fn(f: PolyExpr, e: DoubledSection) -> Residuals:
-            comps = e.X.comps if part == "X" else e.xi.comps
-            return [(f"{part}[{mu}]", eta_pairing(f, comp)) for mu, comp in enumerate(comps, start=1)]
-
-        def generic() -> dict:
+        def generic(degree: int) -> dict:
             alloc = _Allocator(family.start)
-            f = _generic_poly(R.dim, family.degree, R.function_constraint, alloc)
-            return {"f": f, "e": _generic_section(R, family.degree, alloc)}
+            f = _generic_poly(R.dim, degree, R.function_constraint, alloc)
+            return {"f": f, "e": _generic_section(R, degree, alloc)}
 
     return _decide(check_id, probes, residual_fn, generic, family.degree)
 
@@ -723,6 +761,23 @@ def _jac_f_condition_residual(R, F, e1, e2, e3) -> DoubledSection:
     return total - correction
 
 
+def _bianchi_comparison_residual(R, F, frame: str, d_three: FormField, e1, e2, e3) -> Residuals:
+    """The twisted Jacobi obstruction minus the triple contraction of the
+    derivative of the twist's 3-form."""
+    lhs = _jac_f_condition_residual(R, F, e1, e2, e3)
+    contracted = d_three
+    # Slot order pinned by the identity itself: the third section fills
+    # the first slot of the 4-form, then the second, then the first.
+    for v in [s.X if frame == "H" else s.xi for s in (e3, e2, e1)]:
+        contracted = interior_product(v, contracted)
+    expected_vec = contracted.as_vector_field()
+    if frame == "H":
+        expected = DoubledSection(VectorField.zero(E, R.dim), expected_vec)
+    else:
+        expected = DoubledSection(expected_vec, VectorField.zero(ESTAR, R.dim))
+    return (lhs - expected).components()
+
+
 def check_bianchi(
     R: DoubledRealization, F: FluxTensor, family: Optional[GenericSectionFamily] = None
 ) -> AxiomReport:
@@ -764,23 +819,16 @@ def check_bianchi(
         else R.E.anchor_is_zero() and not R.E.structure
     )
     if one_sided:
-        alloc = _Allocator(family.start)
-        secs = [_generic_section(R, family.degree, alloc) for _ in range(3)]
-        lhs = _jac_f_condition_residual(R, F, *secs)
-        contracted = d_three
-        # Slot order pinned by the identity itself: the third section fills
-        # the first slot of the 4-form, then the second, then the first.
-        for v in [s.X if frame == "H" else s.xi for s in reversed(secs)]:
-            contracted = interior_product(v, contracted)
-        expected_vec = contracted.as_vector_field()
-        if frame == "H":
-            expected = DoubledSection(VectorField.zero(E, R.dim), expected_vec)
-        else:
-            expected = DoubledSection(expected_vec, VectorField.zero(ESTAR, R.dim))
-        comparison = _report(
+
+        def generic(degree: int) -> dict:
+            alloc = _Allocator(family.start)
+            return {f"e{i}": _generic_section(R, degree, alloc) for i in (1, 2, 3)}
+
+        comparison = _decide(
             "bianchi",
-            (lhs - expected).components(),
-            {f"e{i}": s for i, s in enumerate(secs, start=1)},
+            (),
+            partial(_bianchi_comparison_residual, R, F, frame, d_three),
+            generic,
             family.degree,
             f"{detail}; twisted Jacobi obstruction disagrees with the contracted derivative",
         )

@@ -20,8 +20,8 @@ Scenario files are JSON.  Expressions are strings in the package grammar
 The machine format is canonical (sorted keys, no whitespace variation),
 so identical scenario and seed give byte-identical reports.  Exit status:
 0 when every requested check passes, 1 when any fails, 2 when nothing
-fails but some check was skipped; a malformed scenario prints an error and
-exits with 1.
+fails but some check was skipped.  A malformed scenario, a report that
+cannot be written and a usage error print an error and exit with 3.
 """
 
 from __future__ import annotations
@@ -53,6 +53,9 @@ from .poly import ExprError, PolyExpr, parse_expr
 __all__ = ["Scenario", "Report", "ScenarioError", "load_scenario", "run", "emit_report", "main"]
 
 KNOWN_CHECKS = tuple(CHECKS)
+
+# Exit status of a run that ends in an error instead of a report.
+_EXIT_ERROR = 3
 
 
 def _worst(statuses: Iterable[str]) -> str:
@@ -275,6 +278,8 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ScenarioError("scenario nests lists and objects too deeply to read") from None
     return parse_scenario(data)
 
 
@@ -385,8 +390,17 @@ def emit_report(report: Report, fmt: str = "text") -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits with ``_EXIT_ERROR`` on a usage error (argparse would use 2,
+    the SKIPPED status)."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(_EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="doubled-algebroids",
         description="Exact checker for Courant-family bracket axioms on flat doubled charts.",
     )
@@ -413,11 +427,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report = run(scenario)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _EXIT_ERROR
     payload = emit_report(report, args.format)
     if args.out:
-        with open(args.out, "wb") as handle:
-            handle.write(payload)
+        try:
+            with open(args.out, "wb") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return _EXIT_ERROR
     else:
         sys.stdout.buffer.write(payload)
     return report.exit_code()

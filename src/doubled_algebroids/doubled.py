@@ -87,6 +87,8 @@ class Admissibility:
     def from_names(cls, names: Sequence[str], dim: int) -> "Admissibility":
         vars_: set[Var] = set()
         for name in names:
+            if not isinstance(name, str):
+                raise RealizationError(f"mask entry {name!r} is not a coordinate variable")
             kind = "xt" if name.startswith("xt") else name[:1]
             if kind not in (KIND_X, KIND_XT):
                 raise RealizationError(f"mask entry {name!r} is not a coordinate variable")
@@ -184,8 +186,9 @@ class DoubledRealization:
 
     Construction validates with affine generic sections: the three
     defining identities are multilinear in section values and first
-    derivatives (all second-derivative terms cancel for any anchor), so
-    degree-1 genericity already decides them for all sections.
+    derivatives (all second-derivative terms cancel for any anchor, which
+    tests/test_jet_order.py checks), so degree-1 genericity already
+    decides them for all sections.
     """
 
     __slots__ = (

@@ -639,7 +639,12 @@ class _Parser:
     term   := factor ('*' factor)*
     factor := atom ['^' INT]
     atom   := INT ['/' INT] | VAR | '(' expr ')'
+
+    Parentheses nest at most ``MAX_DEPTH`` deep, so the recursion stays
+    far below the interpreter's limit.
     """
+
+    MAX_DEPTH = 100
 
     def __init__(self, src: str, dim: int, params: int):
         self.src = src
@@ -647,6 +652,7 @@ class _Parser:
         self.params = params
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Optional[_Token]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -728,8 +734,12 @@ class _Parser:
         if tok.kind == "var":
             return PolyExpr.variable(self._var(tok))
         if tok.kind == "op" and tok.text == "(":
+            if self.depth == self.MAX_DEPTH:
+                raise ExprError(f"parentheses nested deeper than {self.MAX_DEPTH}", tok.pos)
+            self.depth += 1
             value = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return value
         raise ExprError(f"unexpected {tok.text!r}", tok.pos)
 

@@ -1,9 +1,12 @@
+import copy
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doubled_algebroids import axioms
 from doubled_algebroids.cli import (
@@ -223,7 +226,7 @@ def test_main_reports_scenario_errors(tmp_path, capsys):
     scenario_path = tmp_path / "s.json"
     scenario_path.write_text("{}", encoding="utf-8")
     code = main(["run", str(scenario_path)])
-    assert code == 1
+    assert code == 3
     assert "missing required field" in capsys.readouterr().err
 
 
@@ -269,11 +272,52 @@ def test_main_reports_scenario_errors(tmp_path, capsys):
 def test_main_rejects_bad_input_with_scenario_error(tmp_path, capsys, overrides, argv, message):
     scenario_path = tmp_path / "s.json"
     scenario_path.write_text(json.dumps(minimal_scenario(**overrides)), encoding="utf-8")
-    assert main(["run", str(scenario_path), *argv]) == 1
+    assert main(["run", str(scenario_path), *argv]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert message in captured.err
+
+
+def test_main_reports_unwritable_out_path(tmp_path, capsys):
+    scenario_path = tmp_path / "s.json"
+    scenario_path.write_text(json.dumps(minimal_scenario()), encoding="utf-8")
+    out_path = tmp_path / "missing-dir" / "r.json"
+    assert main(["run", str(scenario_path), "--out", str(out_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write the report")
+    assert not out_path.exists()
+
+
+def test_usage_error_exits_with_error_status(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run"])
+    assert exc.value.code == 3
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 100_000 + "]" * 100_000, "too deeply"),
+        (
+            json.dumps(
+                minimal_scenario(
+                    algebroid_E={"anchor": [["(" * 3000 + "1" + ")" * 3000], ["0"]], "C": []}
+                )
+            ),
+            "parentheses nested deeper than 100",
+        ),
+    ],
+    ids=["json-array", "anchor-parentheses"],
+)
+def test_deep_nesting_ends_in_scenario_error(tmp_path, capsys, text, message):
+    scenario_path = tmp_path / "s.json"
+    scenario_path.write_text(text, encoding="utf-8")
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(str(scenario_path))
+    assert main(["run", str(scenario_path)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_twist_conditions_run_once_per_run(monkeypatch):
@@ -301,3 +345,66 @@ def test_console_entry_point(tmp_path):
     assert result.returncode == 0
     assert "classification: Vaisman" in result.stdout
     assert result.stderr == ""
+
+
+# -- fuzzing -------------------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text() | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+# A valid scenario with one node replaced by arbitrary JSON reaches the
+# later stages of validation; arbitrary JSON alone mostly stops at the first.
+FUZZ_BASE = minimal_scenario(
+    admissibility={"mask": ["x1", "xt1"]},
+    function_admissibility="x-only",
+    flux=[[1, 2, 1, "x1"]],
+    explicit_sections=[{"X": ["x1"], "xi": ["0"]}],
+    checks=["C4", "twist-V2", "bianchi"],
+)
+
+
+def _node_paths(value, prefix=()):
+    yield prefix
+    if isinstance(value, dict):
+        children = value.items()
+    else:
+        children = enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _node_paths(child, prefix + (key,))
+
+
+def _replaced(path, new):
+    data = copy.deepcopy(FUZZ_BASE)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return data
+
+
+ONE_NODE_REPLACED = st.builds(
+    _replaced, st.sampled_from(list(_node_paths(FUZZ_BASE))[1:]), JSON_VALUES
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=JSON_VALUES | ONE_NODE_REPLACED)
+def test_arbitrary_json_gives_a_report_or_a_scenario_error(tmp_path_factory, data):
+    try:
+        scenario = parse_scenario(data)
+    except ScenarioError:
+        pass
+    else:
+        try:
+            assert run(scenario).exit_code() in (0, 1, 2)
+        except ScenarioError:
+            pass
+    folder = tmp_path_factory.mktemp("fuzz")
+    scenario_path = folder / "s.json"
+    scenario_path.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["run", str(scenario_path), "--format", "machine", "--out", str(folder / "r.json")])
+    assert code in (0, 1, 2, 3)
+    if code != 3:
+        assert json.loads((folder / "r.json").read_text(encoding="utf-8"))["exit_code"] == code

@@ -61,6 +61,13 @@ def test_parse_unary_minus_and_nesting():
     assert parse_expr("-x1 + (2 - (x1 - 1))", 1) == PolyExpr.const(3) - PolyExpr.coord(1).scaled(2)
 
 
+def test_parse_nesting_depth_limit():
+    assert parse_expr("(" * 100 + "x1" + ")" * 100, 1) == PolyExpr.coord(1)
+    with pytest.raises(ExprError, match="nested deeper than 100") as err:
+        parse_expr("(" * 101 + "x1" + ")" * 101, 1)
+    assert err.value.position == 100
+
+
 def test_parse_syntax_error_position():
     with pytest.raises(ExprError) as err:
         parse_expr("x1 + * 2", 1)
