@@ -3,20 +3,22 @@
 Every check reduces an axiom to polynomial residuals and decides them by
 canonical-form zero testing on generic inputs: a fresh parameter
 coefficient on every admissible monomial of every component.  Each
-residual is a multilinear differential operator of some order k in each
-input (``JET_ORDER``), so its value at a point depends only on the k-jets
-of the inputs there.  Generic data of degree k takes every admissible
-k-jet at every point, so a PASS of an order-k check proved at degree
-k <= the family degree covers all admissible polynomial data of any
+residual is a multidifferential operator of some total order k in its
+inputs (``JET_ORDER``), so its value at a point depends only on the
+k-jets of the inputs there.  Generic data of degree k takes every
+admissible k-jet at every point, so a PASS of an order-k check proved at
+degree k <= the family degree covers all admissible polynomial data of any
 degree.  FAIL always carries a witness: a concrete substitution under
 which some residual component evaluates to a nonzero rational.
 
 Checks probe a small deterministic battery of concrete inputs first, so
 failures are found fast and come with small readable counterexamples; the
 generic computation only has to run when everything passes, where it is
-the proof.  It runs at degree ``min(order, family degree)``; only when it
-fails are the inputs rebuilt at the family degree, so witnesses come from
-full-degree data.
+the proof.  It runs at degree ``min(order, family degree)``, except that a
+second-order residual that a certificate on generic constant data shows
+to be first order in every input is proved at degree 1.  Only when the
+proof fails are the inputs rebuilt at the family degree, so witnesses come
+from full-degree data.
 """
 
 from __future__ import annotations
@@ -197,52 +199,128 @@ def _report(
     return AxiomReport(check_id, FAIL, witness=record, residual=residual, degree=degree, detail=detail)
 
 
-# The order of each generic residual, keyed by the check id given to
-# ``_decide``: in every input it is a differential operator of at most this
-# order, in Grothendieck's algebraic sense (EGA IV 16.8): every (k+1)-fold
-# commutator with multiplication by admissible coordinates vanishes, which
-# tests/test_jet_order.py checks for each entry.  Such an operator's value
-# at a point depends only on the k-jets of its inputs there.  Generic data
-# of degree k takes every admissible k-jet at every point, so a residual
-# that vanishes on it vanishes for admissible data of any degree.  The
-# brackets, D and the anchor derivative are first order, so is every
-# residual that applies them once; C1 nests a bracket in a bracket and the
-# derivation condition a bracket in a differential.
+# The total order of each generic residual, keyed by the check id given to
+# ``_decide``, as a multidifferential operator in Grothendieck's algebraic
+# sense (EGA IV 16.8): counted over all inputs together, no term
+# differentiates them more than k times, so every (k+1)-fold commutator with
+# multiplication by admissible coordinates, each acting on any one input,
+# vanishes.  tests/test_jet_order.py checks this for each entry and for each
+# primitive: ``c_bracket``, ``twisted_c_bracket``, ``D_op``, ``rho_V_dot``,
+# the algebroid bracket, ``d_differential`` and ``schouten`` have total
+# order 1 and ``pairing`` order 0.  C2, C3, C5 and the bianchi comparison
+# apply one of them at a time, so they have order 1.  C1 nests a bracket in
+# a bracket, the derivation condition a bracket in a differential, and C4
+# and the strong constraint pair two gradients, so they have order 2.
+#
+# Total order k bounds the order in each input, and an operator of order k
+# in every input has a value at a point that depends only on the k-jets of
+# the inputs there.  Generic data of degree k takes every admissible k-jet
+# at every point, so a residual that vanishes on it vanishes for admissible
+# data of any degree.
+#
+# An order-2 residual may still be first order in every input, and then
+# degree-1 data decides it.  ``_first_order_in_every_input`` certifies this:
+# a 2-fold commutator in one input of an operator of total order 2 has total
+# order 0, so it is tensorial in every input (its value at a point depends
+# only on the values of the inputs there) and generic constant data decides
+# it.  When every such commutator vanishes, the residual is first order in
+# each input.
 JET_ORDER = {
     "C1": 2,
     "C2": 1,
     "C3": 1,
-    "C4": 1,
+    "C4": 2,
     "C5": 1,
     "derivation": 2,
-    "strong-fn": 1,
-    "strong-vec": 1,
-    "strong-form": 1,
+    "strong-fn": 2,
+    "strong-vec": 2,
+    "strong-form": 2,
     "bianchi": 1,
 }
+
+
+def _first_order_in_every_input(
+    residual_fn: Callable[..., Residuals],
+    inputs: dict,
+    coordinates: dict[str, list[Var]],
+    alloc: _Allocator,
+) -> bool:
+    """True when, for every input u, each 2-fold commutator of the residual
+    with multiplication of u by two of its admissible coordinates vanishes
+    on ``inputs``, which are generic constants.
+
+    One fresh parameter t_ij weights each pair c_i, c_j (i <= j).  With
+    q = sum t_ij c_i c_j the weighted sum of the commutators is
+    P(q u) - sum_i c_i P((dq/dc_i) u) + q P(u), which vanishes exactly when
+    each commutator does, so n coordinates cost n + 2 residual evaluations.
+    A component that does not involve u but is nonzero on the constants
+    makes the sum nonzero too; the residual then fails on generic data
+    anyway, so declining the certificate leaves the report unchanged.
+
+    The weights come from ``alloc`` after the constant inputs and stay within
+    ``parameter_count``: the family degree is at least 2 here, and one
+    component of u takes 1 + n + n(n+1)/2 parameters at degree 2 but one at
+    degree 0, which leaves room for the n(n+1)/2 weights of u.
+    """
+    base = residual_fn(**inputs)
+    for name, variables in coordinates.items():
+        coords = [PolyExpr.variable(v) for v in variables]
+        quadratic, slopes = [], [[] for _ in coords]
+        for i, j in itertools.combinations_with_replacement(range(len(coords)), 2):
+            t = PolyExpr.param(alloc.fresh())
+            quadratic.append(t * coords[i] * coords[j])
+            slopes[i].append(t * coords[j])
+            slopes[j].append(t * coords[i])
+        q, u = poly_sum(quadratic), inputs[name]
+
+        def at(factor: PolyExpr) -> Residuals:
+            scaled = u * factor if isinstance(u, PolyExpr) else u.scaled(factor)
+            return residual_fn(**{**inputs, name: scaled})
+
+        weighted = [(at(q), PolyExpr.one()), (base, q)]
+        weighted += [(at(poly_sum(slope)), -c) for c, slope in zip(coords, slopes)]
+        sums: dict[str, list[PolyExpr]] = {}
+        for residuals, factor in weighted:
+            for label, poly in residuals:
+                sums.setdefault(label, []).append(poly * factor)
+        if any(not poly_sum(pieces).is_zero() for pieces in sums.values()):
+            return False
+    return True
 
 
 def _decide(
     check_id: str,
     probes: Iterable[dict],
     residual_fn: Callable[..., Residuals],
-    generic_inputs: Callable[[int], dict],
-    degree: int,
+    generic_inputs: Callable[[int, _Allocator], dict],
+    family: GenericSectionFamily,
     detail: str = "",
+    coordinates: Optional[dict[str, list[Var]]] = None,
 ) -> AxiomReport:
     """Probe concrete inputs for a fast counterexample, then prove on generic
-    inputs of degree ``min(JET_ORDER[check_id], degree)``.  If that proof
-    fails, the inputs are rebuilt at ``degree`` for the witness.
-    ``residual_fn`` takes the inputs as keyword arguments and
-    ``generic_inputs`` the degree of the generic data."""
+    inputs of degree ``min(JET_ORDER[check_id], family.degree)``, or of
+    degree 1 when an order-2 residual is certified first order in every
+    input.  If that proof fails, the inputs are rebuilt at the family degree
+    for the witness.  ``residual_fn`` takes the inputs as keyword arguments,
+    ``generic_inputs`` the degree of the generic data and an allocator
+    starting at ``family.start``, and ``coordinates``, which order-2 entries
+    need, maps each input to its admissible coordinates."""
+    degree = family.degree
     for inputs in probes:
         report = _report(check_id, residual_fn(**inputs), inputs, degree, detail)
         if not report.passed():
             return report
     jet = min(JET_ORDER[check_id], degree)
-    if jet < degree and all(poly.is_zero() for _, poly in residual_fn(**generic_inputs(jet))):
-        return AxiomReport(check_id, PASS, degree=degree, detail=detail)
-    inputs = generic_inputs(degree)
+    if jet == 2:
+        alloc = _Allocator(family.start)
+        constants = generic_inputs(0, alloc)
+        if _first_order_in_every_input(residual_fn, constants, coordinates, alloc):
+            jet = 1
+    if jet < degree:
+        inputs = generic_inputs(jet, _Allocator(family.start))
+        if all(poly.is_zero() for _, poly in residual_fn(**inputs)):
+            return AxiomReport(check_id, PASS, degree=degree, detail=detail)
+    inputs = generic_inputs(degree, _Allocator(family.start))
     return _report(check_id, residual_fn(**inputs), inputs, degree, detail)
 
 
@@ -483,16 +561,18 @@ def check_axiom(
     probes = (dict(zip(names, values)) for values in probe_values)
     detail = "defect paired against gradients of admissible test functions" if axiom_id == "C2" else ""
 
-    def generic(degree: int) -> dict:
+    def generic(degree: int, alloc: _Allocator) -> dict:
         # Every family section is allocated first, then the test functions.
-        alloc = _Allocator(family.start)
         secs = [_generic_section(R, degree, alloc) for _ in range(family.count)]
         inputs = {name: sec for name, sec in zip(names, secs) if name.startswith("e")}
         for name in names[len(inputs):]:
             inputs[name] = _generic_poly(R.dim, degree, R.function_constraint, alloc)
         return inputs
 
-    report = _decide(axiom_id, probes, residual_fn, generic, family.degree, detail)
+    section_vars = R.constraint.allowed_vars(R.dim)
+    function_vars = R.function_constraint.allowed_vars(R.dim)
+    coordinates = {name: section_vars if name.startswith("e") else function_vars for name in names}
+    report = _decide(axiom_id, probes, residual_fn, generic, family, detail, coordinates)
     R.check_cache[cache_key] = report
     return replace(report, check_id=requested)
 
@@ -537,13 +617,14 @@ def check_derivation_condition(
         ({"X": zero_x, "Y": zero_x, "xi": a, "eta": b} for a, b in itertools.product(xis, repeat=2)),
     )
 
-    def generic(degree: int) -> dict:
-        alloc = _Allocator(family.start)
+    def generic(degree: int, alloc: _Allocator) -> dict:
         sec1 = _generic_section(R, degree, alloc)
         sec2 = _generic_section(R, degree, alloc)
         return {"X": sec1.X, "Y": sec2.X, "xi": sec1.xi, "eta": sec2.xi}
 
-    report = _decide("derivation", probes, partial(_derivation_residual, R), generic, family.degree)
+    coordinates = dict.fromkeys(("X", "Y", "xi", "eta"), R.constraint.allowed_vars(R.dim))
+    residual_fn = partial(_derivation_residual, R)
+    report = _decide("derivation", probes, residual_fn, generic, family, coordinates=coordinates)
     R.check_cache[cache_key] = report
     return report
 
@@ -590,17 +671,18 @@ def check_strong_constraint(
 
     functions = _battery_functions(R, R.function_constraint)
     sections = _battery_sections(R)
+    function_vars = R.function_constraint.allowed_vars(R.dim)
 
     if level == "functions":
         probes = ({"f": f, "g": g} for f, g in itertools.product(functions, repeat=2))
         residual_fn = _strong_fn_residual
 
-        def generic(degree: int) -> dict:
-            alloc = _Allocator(family.start)
+        def generic(degree: int, alloc: _Allocator) -> dict:
             f = _generic_poly(R.dim, degree, R.function_constraint, alloc)
             g = _generic_poly(R.dim, degree, R.function_constraint, alloc)
             return {"f": f, "g": g}
 
+        coordinates = {"f": function_vars, "g": function_vars}
     else:
         probes = (
             {"f": f, "e": s}
@@ -608,12 +690,12 @@ def check_strong_constraint(
         )
         residual_fn = partial(_strong_part_residual, "X" if level == "vectors" else "xi")
 
-        def generic(degree: int) -> dict:
-            alloc = _Allocator(family.start)
+        def generic(degree: int, alloc: _Allocator) -> dict:
             f = _generic_poly(R.dim, degree, R.function_constraint, alloc)
             return {"f": f, "e": _generic_section(R, degree, alloc)}
 
-    return _decide(check_id, probes, residual_fn, generic, family.degree)
+        coordinates = {"f": function_vars, "e": R.constraint.allowed_vars(R.dim)}
+    return _decide(check_id, probes, residual_fn, generic, family, coordinates=coordinates)
 
 
 def check_anchor_antisymmetry(R: DoubledRealization) -> AxiomReport:
@@ -820,8 +902,7 @@ def check_bianchi(
     )
     if one_sided:
 
-        def generic(degree: int) -> dict:
-            alloc = _Allocator(family.start)
+        def generic(degree: int, alloc: _Allocator) -> dict:
             return {f"e{i}": _generic_section(R, degree, alloc) for i in (1, 2, 3)}
 
         comparison = _decide(
@@ -829,7 +910,7 @@ def check_bianchi(
             (),
             partial(_bianchi_comparison_residual, R, F, frame, d_three),
             generic,
-            family.degree,
+            family,
             f"{detail}; twisted Jacobi obstruction disagrees with the contracted derivative",
         )
         if not comparison.passed():

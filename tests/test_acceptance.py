@@ -36,7 +36,7 @@ from doubled_algebroids.axioms import (
     quadratic_lie_algebra_check,
     t_scalar,
 )
-from doubled_algebroids.cli import load_scenario, run
+from doubled_algebroids.cli import emit_report, load_scenario, run
 from doubled_algebroids.doubled import (
     Admissibility,
     DoubledRealization,
@@ -50,6 +50,8 @@ from doubled_algebroids.generic import _Allocator, _generic_poly
 from doubled_algebroids.poly import PolyExpr, Var
 
 SCENARIOS = Path(__file__).parent / "fixtures" / "scenarios"
+# Machine reports of the fixture scenarios, recorded for the benchmark (read only).
+EXPECTED = Path(__file__).resolve().parent.parent / "benchmarks" / "expected"
 ZERO = PolyExpr.zero()
 ONE = PolyExpr.one()
 FAM = GenericSectionFamily(degree=2, count=3)
@@ -167,13 +169,18 @@ def test_criterion_5_implication_lattice():
     paths = sorted(SCENARIOS.glob("*.json"))
     assert len(paths) >= 10, "fixture corpus too small"
     all_violations = {}
+    drifted = []
     for path in paths:
         report = run(load_scenario(str(path)))
         statuses = {entry.check_id: entry.status for entry in report.entries}
         violations = _implications_hold(statuses)
         if violations:
             all_violations[path.name] = violations
+        # every machine report stays byte-identical with the recorded one
+        if emit_report(report, "machine") != (EXPECTED / f"{path.stem}.machine.json").read_bytes():
+            drifted.append(path.stem)
     assert not all_violations, all_violations
+    assert drifted == []
     _verdict(
         5,
         True,

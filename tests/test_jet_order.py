@@ -1,26 +1,37 @@
 """Mechanical check of the order table behind the generic proofs.
 
-``axioms.JET_ORDER`` says that each generic residual is, in every input,
-a differential operator of order at most k, so degree-k generic data
+``axioms.JET_ORDER`` says that each generic residual is a multidifferential
+operator of total order at most k: counted over all its inputs together, no
+term differentiates them more than k times, so degree-k generic data
 decides it for data of any degree.  In Grothendieck's algebraic sense
-(EGA IV 16.8) an operator P has order at most k in an input exactly when,
-for every k+1 coordinate functions c_0..c_k (repeats allowed), the
-(k+1)-fold commutator [...[[P, c_0], c_1]..., c_k] with multiplication by
-them vanishes.  Expanded, that commutator applied to u is
+(EGA IV 16.8) that holds exactly when, for every k+1 pairs (s_0, c_0) ..
+(s_k, c_k) of an input slot and an admissible coordinate (repeats allowed,
+slots mixed), the (k+1)-fold commutator of P with multiplication of input
+s_i by c_i vanishes.  Expanded, that commutator is
 
-    sum over subsets S of {c_0..c_k} of
-        (-1)^(k+1-|S|) * (product of the c not in S) * P((product of S) * u)
+    sum over subsets S of the k+1 pairs of
+        (-1)^(k+1-|S|) * (product of the c not in S)
+            * P(each input times the product of its c in S)
 
 and each test below computes it on generic degree-1 inputs, for every
-input slot and every multiset of k+1 coordinates that the slot's
-admissibility allows.
+multiset of k+1 pairs.  It keeps only the terms that carry a parameter of
+every slot in the multiset: a term that does not involve a slot is
+constant in it, no part of a commutator in that slot, and the kept terms
+are the part of P linear in each of those slots (a term with two
+parameters of one slot is reported as not multilinear).
 
-Degree-1 inputs suffice: every residual applies at most two first-order
-operations in a row to an input (a bracket, D, a differential or an anchor
-derivative, each of order 1), so it has order at most 2, and a (k+1)-fold
-commutator of it with k >= 1 has order at most 1.  Generic degree-1 data
-takes every 1-jet at every point, so such a commutator that vanishes on it
-vanishes on all data.
+Degree-1 inputs decide the test.  Each primitive the residuals are made of
+has total order at most 1 (the ``primitives`` cases below check it), and
+each residual combines at most two of them, nested or paired, so every
+residual has total order at most 2.  A commutator with k+1 >= 1 factors
+lowers the total order by k+1, to at most 1, so the commutator is of order
+at most 1 in each input: its value at a point depends only on the 1-jets
+of the inputs there.  Generic degree-1 data takes every 1-jet at every
+point, so a commutator that vanishes on it vanishes on all data.  Taking
+the commutators one slot at a time would bound only the order in each
+input, and miss a term such as d^2(e2) * d^2(e3): it vanishes on degree-1
+data and so do its one-slot commutators, but its mixed commutator in
+(e2, x1), (e3, x1) does not.
 """
 
 import inspect
@@ -33,17 +44,22 @@ import pytest
 from doubled_algebroids.algebroid import (
     E,
     ESTAR,
+    FormField,
     FrameAlgebroid,
     VectorField,
     _lie_algebroid_residuals,
+    algebroid_bracket,
     d_differential,
+    schouten,
 )
 from doubled_algebroids.axioms import (
     JET_ORDER,
+    GenericSectionFamily,
     _axiom_residual,
     _bianchi_comparison_residual,
     _decide,
     _derivation_residual,
+    _first_order_in_every_input,
     _flux_frame_type,
     _flux_three_form,
     _generic_section,
@@ -53,13 +69,23 @@ from doubled_algebroids.axioms import (
     _strong_part_residual,
 )
 from doubled_algebroids.cli import parse_scenario
-from doubled_algebroids.doubled import DoubledRealization, FluxTensor
+from doubled_algebroids.doubled import (
+    Admissibility,
+    DoubledRealization,
+    FluxTensor,
+    D_op,
+    c_bracket,
+    pairing,
+    rho_V_dot,
+    twisted_c_bracket,
+)
 from doubled_algebroids.generic import _Allocator, _generic_poly
-from doubled_algebroids.poly import KIND_X, DoubledIndex, PolyExpr, coordinate_vars
+from doubled_algebroids.poly import KIND_X, DoubledIndex, PolyExpr, coordinate_vars, poly_sum
 
 ZERO = PolyExpr.zero()
 ONE = PolyExpr.one()
 X1, XT1 = PolyExpr.coord(1), PolyExpr.dual(1)
+DX1 = DoubledIndex(KIND_X, 1)
 SCENARIOS = Path(__file__).parent / "fixtures" / "scenarios"
 
 
@@ -74,70 +100,86 @@ def _product(polys) -> PolyExpr:
     return out
 
 
-def _difference(a: dict, b: dict, scale=1) -> dict:
-    """a - scale * b, componentwise by label."""
-    return {key: a.get(key, ZERO) - b.get(key, ZERO).scaled(scale) for key in a.keys() | b.keys()}
+def _params(value) -> set:
+    """The parameters of one generic input."""
+    if isinstance(value, FormField):
+        return set().union(*(c.param_indices() for c in value.comps.values()))
+    return value.param_indices()
+
+
+def _involves_all(poly: PolyExpr, param_sets) -> bool:
+    """True when some term of ``poly`` carries a parameter from each set."""
+    return any(all(not own.isdisjoint(params) for own in param_sets) for _, params in poly.terms)
 
 
 def order_violations(residual_fn, inputs: dict, coordinates: dict, order: int) -> list:
-    """The (slot, coordinate multiset) pairs whose (order+1)-fold
-    commutator with ``residual_fn`` is not the zero polynomial.
+    """The multisets of order+1 (slot, coordinate) pairs whose commutator
+    with ``residual_fn`` is not the zero polynomial, each as a tuple of
+    (slot, coordinate name) pairs.
 
-    ``coordinates`` maps each slot to the coordinate names it may be
-    multiplied by; ``residual_fn`` takes ``inputs`` as keyword arguments.
-    A residual component that does not involve a slot is constant in it,
-    so the commutators are taken of the part linear in the slot,
-    P(u) - P(0); a residual that is not linear in a slot is reported as
-    ``(slot, "not multilinear")``.
+    ``coordinates`` maps each slot to the coordinates it may be multiplied
+    by; ``residual_fn`` takes ``inputs`` as keyword arguments.  Only the
+    terms carrying a parameter of every slot in the multiset count (see the
+    module docstring); a slot of which some term carries two parameters is
+    reported as ``(slot, "not multilinear")``.
     """
-    violations = []
-    for slot, names in coordinates.items():
-        coords = [PolyExpr.variable(v) for v in names]
+    pairs = [(slot, var) for slot, variables in coordinates.items() for var in variables]
+    params = {slot: _params(inputs[slot]) for slot in coordinates}
+    values = {}  # sorted positions in ``pairs`` -> residual with those factors
 
-        def at(factor: PolyExpr) -> dict:
-            return dict(residual_fn(**{**inputs, slot: _times(inputs[slot], factor)}))
+    def value(inside):
+        if inside not in values:
+            factors = {}
+            for i in inside:
+                slot, var = pairs[i]
+                factors[slot] = factors.get(slot, ONE) * PolyExpr.variable(var)
+            scaled = {slot: _times(inputs[slot], factor) for slot, factor in factors.items()}
+            values[inside] = residual_fn(**{**inputs, **scaled})
+        return values[inside]
 
-        at_zero = at(ZERO)
-        values = {}  # sub-multiset of coordinate positions -> P(product * u) - P(0)
-
-        def value(sub):
-            if sub not in values:
-                values[sub] = _difference(at(_product(coords[i] for i in sub)), at_zero)
-            return values[sub]
-
-        doubled = _difference(at(PolyExpr.const(2)), at_zero)
-        if any(not poly.is_zero() for poly in _difference(doubled, value(()), 2).values()):
-            violations.append((slot, "not multilinear"))
-        for multiset in itertools.combinations_with_replacement(range(len(coords)), order + 1):
-            total = {}
-            for chosen in itertools.product((False, True), repeat=order + 1):
-                inside = tuple(i for i, pick in zip(multiset, chosen) if pick)
-                outside = [coords[i] for i, pick in zip(multiset, chosen) if not pick]
-                weight = _product(outside)
-                if len(outside) % 2:
-                    weight = -weight
-                for label, poly in value(inside).items():
-                    total[label] = total.get(label, ZERO) + poly * weight
-            if any(not poly.is_zero() for poly in total.values()):
-                violations.append((slot, tuple(str(names[i]) for i in multiset)))
+    violations = [
+        (slot, "not multilinear")
+        for slot, own in params.items()
+        if any(sum(p in own for p in ps) > 1 for _, poly in value(()) for _, ps in poly.terms)
+    ]
+    for multiset in itertools.combinations_with_replacement(range(len(pairs)), order + 1):
+        total = {}
+        for chosen in itertools.product((False, True), repeat=order + 1):
+            inside = tuple(i for i, pick in zip(multiset, chosen) if pick)
+            outside = [pairs[i][1] for i, pick in zip(multiset, chosen) if not pick]
+            weight = _product(PolyExpr.variable(var) for var in outside)
+            if len(outside) % 2:
+                weight = -weight
+            for label, poly in value(inside):
+                total.setdefault(label, []).append(poly * weight)
+        involved = [params[slot] for slot in {pairs[i][0] for i in multiset}]
+        if any(_involves_all(poly_sum(pieces), involved) for pieces in total.values()):
+            violations.append(tuple((pairs[i][0], str(pairs[i][1])) for i in multiset))
     return violations
 
 
-def degree_one_inputs(R, residual_fn) -> tuple[dict, dict]:
-    """Generic degree-1 inputs for every keyword of ``residual_fn`` (e*:
+def generic_inputs(R, residual_fn, degree=1) -> tuple[dict, dict]:
+    """Generic inputs of ``degree`` for every keyword of ``residual_fn`` (e*:
     sections, f/g: test functions, X/Y and xi/eta: the two parts of
-    sections), and the coordinates each may be multiplied by."""
+    sections, W: a bivector of E), and the coordinates each may be
+    multiplied by."""
     alloc = _Allocator(1)
     inputs, coordinates = {}, {}
     for name in inspect.signature(residual_fn).parameters:
         if name in ("f", "g"):
-            inputs[name] = _generic_poly(R.dim, 1, R.function_constraint, alloc)
+            inputs[name] = _generic_poly(R.dim, degree, R.function_constraint, alloc)
             coordinates[name] = R.function_constraint.allowed_vars(R.dim)
             continue
-        section = _generic_section(R, 1, alloc)
-        inputs[name] = {"X": section.X, "Y": section.X, "xi": section.xi, "eta": section.xi}.get(
-            name, section
-        )
+        if name == "W":
+            comps = {
+                pair: _generic_poly(R.dim, degree, R.constraint, alloc)
+                for pair in itertools.combinations(range(1, R.dim + 1), 2)
+            }
+            inputs[name] = FormField(ESTAR, 2, comps, dim=R.dim)
+        else:
+            section = _generic_section(R, degree, alloc)
+            parts = {"X": section.X, "Y": section.X, "xi": section.xi, "eta": section.xi}
+            inputs[name] = parts.get(name, section)
         coordinates[name] = R.constraint.allowed_vars(R.dim)
     return inputs, coordinates
 
@@ -238,6 +280,33 @@ CASES = {
 }
 
 
+def _labeled(prefix, polys):
+    return [(f"{prefix}[{i}]", poly) for i, poly in enumerate(polys, start=1)]
+
+
+def _form_components(prefix, form):
+    return [(f"{prefix}{key}", poly) for key, poly in sorted(form.comps.items())]
+
+
+def primitives(R):
+    """The operations the residuals are made of, each as (its total order,
+    a residual of its inputs), on the realization ``R``."""
+    return {
+        "c_bracket": (1, lambda e1, e2: c_bracket(R, e1, e2).components()),
+        "twisted_c_bracket": (1, lambda e1, e2: twisted_c_bracket(R, FLUX_D2, e1, e2).components()),
+        "D_op": (1, lambda f: D_op(R, f).components()),
+        "rho_V_dot": (1, lambda e, f: [("scalar", rho_V_dot(R, e, f))]),
+        "algebroid_bracket": (1, lambda X, Y: _labeled("X", algebroid_bracket(R.E, X, Y).comps)),
+        "d_differential": (
+            1,
+            lambda X, f: _form_components("dX", d_differential(R.Estar, X.as_form()))
+            + _form_components("df", d_differential(R.E, FormField.scalar(E, f, R.dim))),
+        ),
+        "schouten": (1, lambda X, W: _form_components("s", schouten(R.E, X, W))),
+        "pairing": (0, lambda e1, e2: [("scalar", pairing("+", e1, e2))]),
+    }
+
+
 def test_every_order_table_entry_has_a_case():
     assert {entry for entry, _ in CASES.values()} == set(JET_ORDER)
 
@@ -246,22 +315,59 @@ def test_every_order_table_entry_has_a_case():
 def test_residual_has_at_most_its_declared_order(case):
     entry, build = CASES[case]
     R, residual = build()
-    inputs, coordinates = degree_one_inputs(R, residual)
+    inputs, coordinates = generic_inputs(R, residual)
     assert order_violations(residual, inputs, coordinates, JET_ORDER[entry]) == []
+
+
+@pytest.mark.parametrize(
+    "case", sorted(case for case, (entry, _) in CASES.items() if JET_ORDER[entry] == 2)
+)
+def test_certificate_shows_each_order_two_case_first_order_in_each_input(case):
+    # Each order-2 check proves on degree-1 data only behind this certificate.
+    entry, build = CASES[case]
+    R, residual = build()
+    inputs, coordinates = generic_inputs(R, residual, degree=0)
+    after_inputs = _Allocator(1 + max(max(_params(value)) for value in inputs.values()))
+    assert _first_order_in_every_input(residual, inputs, coordinates, after_inputs)
+
+
+@pytest.mark.parametrize("name", sorted(primitives(None)))
+def test_primitive_has_its_total_order(name):
+    R = affine_d2()
+    order, residual = primitives(R)[name]
+    inputs, coordinates = generic_inputs(R, residual)
+    assert order_violations(residual, inputs, coordinates, order) == []
+    if order:
+        # and no lower, so the coordinate-dependent anchor exercises the test
+        assert order_violations(residual, inputs, coordinates, order - 1) != []
 
 
 def test_planted_second_order_term_fails_the_order_one_test():
     R = affine_d2()
     c5 = _axiom_residual(R, "C5", FLUX_D2)
-    dx1 = DoubledIndex(KIND_X, 1)
 
     def mutant(e1, e2, e3):
         [(label, poly)] = c5(e1=e1, e2=e2, e3=e3)
-        return [(label, poly + e2.X.comps[0].partial(dx1).partial(dx1))]
+        return [(label, poly + e2.X.comps[0].partial(DX1).partial(DX1))]
 
-    inputs, coordinates = degree_one_inputs(R, mutant)
+    inputs, coordinates = generic_inputs(R, mutant)
     assert order_violations(c5, inputs, coordinates, 1) == []
-    assert order_violations(mutant, inputs, coordinates, 1) == [("e2", ("x1", "x1"))]
+    assert order_violations(mutant, inputs, coordinates, 1) == [(("e2", "x1"), ("e2", "x1"))]
+
+
+def test_planted_mixed_term_fails_the_total_order_test():
+    # d^2(e2) * d^2(e3) vanishes on degree-1 data, and so does every
+    # commutator taken in one slot; only the mixed one sees it.
+    R = affine_d2()
+    c5 = _axiom_residual(R, "C5", FLUX_D2)
+
+    def mutant(e1, e2, e3):
+        [(label, poly)] = c5(e1=e1, e2=e2, e3=e3)
+        planted = e2.X.comps[0].partial(DX1).partial(DX1) * e3.X.comps[0].partial(DX1).partial(DX1)
+        return [(label, poly + planted)]
+
+    inputs, coordinates = generic_inputs(R, mutant)
+    assert order_violations(mutant, inputs, coordinates, 1) == [(("e2", "x1"), ("e3", "x1"))]
 
 
 @pytest.mark.parametrize(
@@ -296,21 +402,70 @@ def test_lie_algebroid_identities_are_first_order(algebroid):
 def test_decide_proves_at_the_jet_degree_and_rebuilds_only_for_a_witness():
     built = []
 
-    def generic(degree):
+    def generic(degree, alloc):
         built.append(degree)
-        alloc = _Allocator(1)
         return {name: _generic_poly(1, degree, None, alloc) for name in ("f", "g")}
 
     def vanishing(f, g):
         return [("scalar", ZERO)]
 
-    def nonvanishing(f, g):
-        return _strong_fn_residual(f, g)
+    def first_order(f, g):
+        return [("scalar", f.partial(DX1) * g)]
 
-    report = _decide("strong-fn", (), vanishing, generic, 3)
+    # an order-1 entry proves at degree 1
+    report = _decide("C5", (), vanishing, generic, GenericSectionFamily(degree=3))
     assert (report.status, report.degree, built) == ("PASS", 3, [1])
     built.clear()
-    report = _decide("strong-fn", (), nonvanishing, generic, 3)
+    report = _decide("C5", (), first_order, generic, GenericSectionFamily(degree=3))
     assert (report.status, report.degree, built) == ("FAIL", 3, [1, 3])
-    full = generic(3)
-    assert report == _report("strong-fn", nonvanishing(**full), full, 3)
+    full = generic(3, _Allocator(1))
+    assert report == _report("C5", first_order(**full), full, 3)
+
+    # an order-2 entry at degree 2: constant data for the certificate, then
+    # degree 1; eta(df, dg) is first order in each input, so it passes the
+    # certificate and fails only at degree 1
+    coordinates = dict.fromkeys(("f", "g"), coordinate_vars(1))
+    second = GenericSectionFamily(degree=2)
+    built.clear()
+    report = _decide("C1", (), vanishing, generic, second, coordinates=coordinates)
+    assert (report.status, report.degree, built) == ("PASS", 2, [0, 1])
+    built.clear()
+    report = _decide("C1", (), _strong_fn_residual, generic, second, coordinates=coordinates)
+    assert (report.status, report.degree, built) == ("FAIL", 2, [0, 1, 2])
+    full = generic(2, _Allocator(1))
+    assert report == _report("C1", _strong_fn_residual(**full), full, 2)
+
+
+def test_certificate_rejects_a_second_order_term_that_degree_one_data_misses():
+    # C1 holds on the flat x-only pair.  A planted d^2/dx1^2 of a component
+    # of e1 vanishes on degree-1 data, so only the certificate keeps it from
+    # a PASS at degree 1; the degree-2 proof then FAILs it.
+    x_only = Admissibility.x_only(1)
+    R = DoubledRealization.flat(1, constraint=x_only, function_constraint=x_only)
+    c1 = _axiom_residual(R, "C1", None)
+
+    def mutant(e1, e2, e3):
+        planted = e1.X.comps[0].partial(DX1).partial(DX1)
+        residuals = c1(e1=e1, e2=e2, e3=e3)
+        return [(label, poly + planted if label == "X[1]" else poly) for label, poly in residuals]
+
+    built = []
+
+    def generic(degree, alloc):
+        built.append(degree)
+        return {f"e{i}": _generic_section(R, degree, alloc) for i in (1, 2, 3)}
+
+    coordinates = dict.fromkeys(("e1", "e2", "e3"), x_only.allowed_vars(1))
+    family = GenericSectionFamily(degree=2)
+    alloc = _Allocator(1)
+    constants = generic(0, alloc)
+    assert _first_order_in_every_input(c1, constants, coordinates, _Allocator(alloc.next_index))
+    assert not _first_order_in_every_input(mutant, constants, coordinates, alloc)
+    assert all(poly.is_zero() for _, poly in mutant(**generic(1, _Allocator(1))))
+
+    built.clear()
+    assert _decide("C1", (), c1, generic, family, coordinates=coordinates).status == "PASS"
+    assert built == [0, 1]
+    built.clear()
+    report = _decide("C1", (), mutant, generic, family, coordinates=coordinates)
+    assert (report.status, built) == ("FAIL", [0, 2])
