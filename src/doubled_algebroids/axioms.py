@@ -3,13 +3,14 @@
 Every check reduces an axiom to polynomial residuals and decides them by
 canonical-form zero testing on generic inputs: a fresh parameter
 coefficient on every admissible monomial of every component.  Each
-residual is a multidifferential operator of some total order k in its
-inputs (``JET_ORDER``), so its value at a point depends only on the
-k-jets of the inputs there.  Generic data of degree k takes every
-admissible k-jet at every point, so a PASS of an order-k check proved at
-degree k <= the family degree covers all admissible polynomial data of any
-degree.  FAIL always carries a witness: a concrete substitution under
-which some residual component evaluates to a nonzero rational.
+residual ``_decide`` proves has one entry in ``RESIDUALS``: its function,
+its total order k as a multidifferential operator, its input slots and its
+probes.  Its value at a point depends only on the k-jets of the inputs
+there.  Generic data of degree k takes every admissible k-jet at every
+point, so a PASS of an order-k check proved at degree k <= the family
+degree covers all admissible polynomial data of any degree.  FAIL always
+carries a witness: a concrete substitution under which some residual
+component evaluates to a nonzero rational.
 
 Checks probe a small deterministic battery of concrete inputs first, so
 failures are found fast and come with small readable counterexamples; the
@@ -148,10 +149,12 @@ class AxiomReport:
         }
 
 
+def _generic_part(R: DoubledRealization, side: str, degree: int, alloc: _Allocator) -> VectorField:
+    return VectorField(side, tuple(_generic_poly(R.dim, degree, R.constraint, alloc) for _ in range(R.dim)))
+
+
 def _generic_section(R: DoubledRealization, degree: int, alloc: _Allocator) -> DoubledSection:
-    comps_x = tuple(_generic_poly(R.dim, degree, R.constraint, alloc) for _ in range(R.dim))
-    comps_xi = tuple(_generic_poly(R.dim, degree, R.constraint, alloc) for _ in range(R.dim))
-    return DoubledSection.from_parts(comps_x, comps_xi)
+    return DoubledSection(_generic_part(R, E, degree, alloc), _generic_part(R, ESTAR, degree, alloc))
 
 
 def generic_sections(family: GenericSectionFamily, R: DoubledRealization) -> list[DoubledSection]:
@@ -174,10 +177,11 @@ def parameter_count(
 ) -> int:
     """The highest parameter ordinal any check may allocate for ``family``.
 
-    ``check_axiom`` builds ``family.count`` generic sections,
-    ``check_bianchi`` and ``quadratic_lie_algebra_check`` three, and no
-    check builds more than two test functions (of degree at least 1 in the
-    quadratic check).
+    No check builds more than three generic sections (the ``RESIDUALS``
+    entries and ``quadratic_lie_algebra_check``) or more than two test
+    functions (of degree at least 1 in the quadratic check).  The count
+    reserves ``family.count`` sections when that is more than three, so a
+    larger ``sections`` setting keeps the budget it has always had.
     """
     sections = max(family.count, 3) * 2 * dim * monomial_count(dim, family.degree, constraint)
     functions = 2 * monomial_count(dim, max(1, family.degree), function_constraint)
@@ -197,46 +201,6 @@ def _report(
         return AxiomReport(check_id, PASS, degree=degree, detail=detail)
     record, residual = found
     return AxiomReport(check_id, FAIL, witness=record, residual=residual, degree=degree, detail=detail)
-
-
-# The total order of each generic residual, keyed by the check id given to
-# ``_decide``, as a multidifferential operator in Grothendieck's algebraic
-# sense (EGA IV 16.8): counted over all inputs together, no term
-# differentiates them more than k times, so every (k+1)-fold commutator with
-# multiplication by admissible coordinates, each acting on any one input,
-# vanishes.  tests/test_jet_order.py checks this for each entry and for each
-# primitive: ``c_bracket``, ``twisted_c_bracket``, ``D_op``, ``rho_V_dot``,
-# the algebroid bracket, ``d_differential`` and ``schouten`` have total
-# order 1 and ``pairing`` order 0.  C2, C3, C5 and the bianchi comparison
-# apply one of them at a time, so they have order 1.  C1 nests a bracket in
-# a bracket, the derivation condition a bracket in a differential, and C4
-# and the strong constraint pair two gradients, so they have order 2.
-#
-# Total order k bounds the order in each input, and an operator of order k
-# in every input has a value at a point that depends only on the k-jets of
-# the inputs there.  Generic data of degree k takes every admissible k-jet
-# at every point, so a residual that vanishes on it vanishes for admissible
-# data of any degree.
-#
-# An order-2 residual may still be first order in every input, and then
-# degree-1 data decides it.  ``_first_order_in_every_input`` certifies this:
-# a 2-fold commutator in one input of an operator of total order 2 has total
-# order 0, so it is tensorial in every input (its value at a point depends
-# only on the values of the inputs there) and generic constant data decides
-# it.  When every such commutator vanishes, the residual is first order in
-# each input.
-JET_ORDER = {
-    "C1": 2,
-    "C2": 1,
-    "C3": 1,
-    "C4": 2,
-    "C5": 1,
-    "derivation": 2,
-    "strong-fn": 2,
-    "strong-vec": 2,
-    "strong-form": 2,
-    "bianchi": 1,
-}
 
 
 def _first_order_in_every_input(
@@ -288,39 +252,66 @@ def _first_order_in_every_input(
     return True
 
 
+def _slot_coordinates(R: DoubledRealization, slots: Sequence[tuple[str, str]]) -> dict[str, list[Var]]:
+    """The admissible coordinates each slot may be multiplied by."""
+    return {
+        name: (R.function_constraint if kind == "function" else R.constraint).allowed_vars(R.dim)
+        for name, kind in slots
+    }
+
+
+def _generic_inputs(
+    R: DoubledRealization, slots: Sequence[tuple[str, str]], degree: int, alloc: _Allocator
+) -> dict:
+    """Generic inputs of ``degree`` for ``slots``, allocated in slot order."""
+    inputs = {}
+    for name, kind in slots:
+        if kind == "function":
+            inputs[name] = _generic_poly(R.dim, degree, R.function_constraint, alloc)
+        elif kind == "section":
+            inputs[name] = _generic_section(R, degree, alloc)
+        else:
+            inputs[name] = _generic_part(R, kind, degree, alloc)
+    return inputs
+
+
 def _decide(
     check_id: str,
-    probes: Iterable[dict],
-    residual_fn: Callable[..., Residuals],
-    generic_inputs: Callable[[int, _Allocator], dict],
+    R: DoubledRealization,
     family: GenericSectionFamily,
+    flux: Optional[FluxTensor] = None,
+    explicit_sections: Sequence[DoubledSection] = (),
     detail: str = "",
-    coordinates: Optional[dict[str, list[Var]]] = None,
 ) -> AxiomReport:
-    """Probe concrete inputs for a fast counterexample, then prove on generic
-    inputs of degree ``min(JET_ORDER[check_id], family.degree)``, or of
-    degree 1 when an order-2 residual is certified first order in every
-    input.  If that proof fails, the inputs are rebuilt at the family degree
-    for the witness.  ``residual_fn`` takes the inputs as keyword arguments,
-    ``generic_inputs`` the degree of the generic data and an allocator
-    starting at ``family.start``, and ``coordinates``, which order-2 entries
-    need, maps each input to its admissible coordinates."""
+    """Decide the ``RESIDUALS`` entry ``check_id``: probe concrete inputs
+    (``explicit_sections`` first, then the batteries) for a fast
+    counterexample, then prove on generic inputs of degree
+    ``min(order, family.degree)``, or of degree 1 when an order-2 residual
+    is certified first order in every input.  If that proof fails, the
+    inputs are rebuilt at the family degree for the witness."""
+    entry = RESIDUALS[check_id]
+    residual_fn = partial(entry.residual, R, flux)
+    names = [name for name, _ in entry.slots]
     degree = family.degree
-    for inputs in probes:
+    sections = list(explicit_sections) + _battery_sections(R)
+    functions = _battery_functions(R, R.function_constraint)
+    for values in entry.probes(R, sections, functions):
+        inputs = dict(zip(names, values))
         report = _report(check_id, residual_fn(**inputs), inputs, degree, detail)
         if not report.passed():
             return report
-    jet = min(JET_ORDER[check_id], degree)
+    jet = min(entry.order, degree)
     if jet == 2:
         alloc = _Allocator(family.start)
-        constants = generic_inputs(0, alloc)
+        constants = _generic_inputs(R, entry.slots, 0, alloc)
+        coordinates = _slot_coordinates(R, entry.slots)
         if _first_order_in_every_input(residual_fn, constants, coordinates, alloc):
             jet = 1
     if jet < degree:
-        inputs = generic_inputs(jet, _Allocator(family.start))
+        inputs = _generic_inputs(R, entry.slots, jet, _Allocator(family.start))
         if all(poly.is_zero() for _, poly in residual_fn(**inputs)):
             return AxiomReport(check_id, PASS, degree=degree, detail=detail)
-    inputs = generic_inputs(degree, _Allocator(family.start))
+    inputs = _generic_inputs(R, entry.slots, degree, _Allocator(family.start))
     return _report(check_id, residual_fn(**inputs), inputs, degree, detail)
 
 
@@ -411,12 +402,12 @@ def t_scalar(
     return total.scaled(_THIRD)
 
 
-def _c1_residual(R, e1, e2, e3, flux) -> DoubledSection:
+def _c1_residual(R, flux, e1, e2, e3) -> Residuals:
     br = _bracket_fn(R, flux)
     b12, b23, b31 = br(e1, e2), br(e2, e3), br(e3, e1)
     jac = br(b12, e3) + br(b23, e1) + br(b31, e2)
     t = (pairing("+", b12, e3) + pairing("+", b23, e1) + pairing("+", b31, e2)).scaled(_THIRD)
-    return jac - D_op(R, t)
+    return (jac - D_op(R, t)).components()
 
 
 def compute_J1_J2(
@@ -456,7 +447,7 @@ def compute_J1_J2(
     return j1, j2
 
 
-def _leibniz_residual(R, e1, e2, f, flux) -> DoubledSection:
+def _leibniz_residual(R, flux, e1, e2, f) -> Residuals:
     br = _bracket_fn(R, flux)
     anchored = rho_V_dot(R, e1, f)
     return (
@@ -464,18 +455,18 @@ def _leibniz_residual(R, e1, e2, f, flux) -> DoubledSection:
         - br(e1, e2).scaled(f)
         - e2.scaled(anchored)
         + D_op(R, f).scaled(pairing("+", e1, e2))
-    )
+    ).components()
 
 
-def _compat_residual(R, e1, e2, e3, flux) -> PolyExpr:
+def _compat_residual(R, flux, e1, e2, e3) -> Residuals:
     br = _bracket_fn(R, flux)
     anchored = rho_V_dot(R, e1, pairing("+", e2, e3))
     left = br(e1, e2) + D_op(R, pairing("+", e1, e2))
     right = br(e1, e3) + D_op(R, pairing("+", e1, e3))
-    return anchored - pairing("+", left, e3) - pairing("+", e2, right)
+    return [("scalar", anchored - pairing("+", left, e3) - pairing("+", e2, right))]
 
 
-def _anchor_residual_components(R, e1, e2, flux) -> Residuals:
+def _anchor_residual(R, flux, e1, e2) -> Residuals:
     """Anchor-homomorphism defect, kept only on the chart directions that
     admissible test functions can actually probe (their gradient support)."""
     br = _bracket_fn(R, flux)
@@ -491,10 +482,10 @@ def _anchor_residual_components(R, e1, e2, flux) -> Residuals:
     return out
 
 
-def _c4_residual(R, f, g) -> PolyExpr:
+def _c4_residual(R, flux, f, g) -> Residuals:
     # Normalized with a factor 2 so the flat-identity value matches the
     # gradient-pairing form of the constraint (witness value 1 at (x1, xt1)).
-    return pairing("+", D_op(R, f), D_op(R, g)).scaled(2)
+    return [("scalar", pairing("+", D_op(R, f), D_op(R, g)).scaled(2))]
 
 
 # -- check_axiom ---------------------------------------------------------------
@@ -504,20 +495,6 @@ def _flux_key(flux: Optional[FluxTensor]):
     if flux is None:
         return None
     return tuple(sorted((m, n, l, str(p)) for (m, n, l), p in flux.entries.items()))
-
-
-def _axiom_residual(
-    R: DoubledRealization, axiom_id: str, flux: Optional[FluxTensor]
-) -> Callable[..., Residuals]:
-    """The residual of one of the five axioms; its inputs are sections
-    ``e1, e2, e3`` and test functions ``f, g``, as keyword arguments."""
-    return {
-        "C1": lambda e1, e2, e3: _c1_residual(R, e1, e2, e3, flux).components(),
-        "C2": lambda e1, e2: _anchor_residual_components(R, e1, e2, flux),
-        "C3": lambda e1, e2, f: _leibniz_residual(R, e1, e2, f, flux).components(),
-        "C4": lambda f, g: [("scalar", _c4_residual(R, f, g))],
-        "C5": lambda e1, e2, e3: [("scalar", _compat_residual(R, e1, e2, e3, flux))],
-    }[axiom_id]
 
 
 def check_axiom(
@@ -546,33 +523,8 @@ def check_axiom(
     if cached is not None:
         return replace(cached, check_id=requested)
 
-    sections = list(explicit_sections) + _battery_sections(R)
-    functions = _battery_functions(R, R.function_constraint)
-    product = itertools.product
-    triples = itertools.islice(product(sections, repeat=3), 120)
-    names, probe_values = {
-        "C1": (("e1", "e2", "e3"), triples),
-        "C2": (("e1", "e2"), product(sections, repeat=2)),
-        "C3": (("e1", "e2", "f"), itertools.islice(product(sections, sections, functions[:3]), 60)),
-        "C4": (("f", "g"), product(functions, repeat=2)),
-        "C5": (("e1", "e2", "e3"), triples),
-    }[axiom_id]
-    residual_fn = _axiom_residual(R, axiom_id, flux)
-    probes = (dict(zip(names, values)) for values in probe_values)
     detail = "defect paired against gradients of admissible test functions" if axiom_id == "C2" else ""
-
-    def generic(degree: int, alloc: _Allocator) -> dict:
-        # Every family section is allocated first, then the test functions.
-        secs = [_generic_section(R, degree, alloc) for _ in range(family.count)]
-        inputs = {name: sec for name, sec in zip(names, secs) if name.startswith("e")}
-        for name in names[len(inputs):]:
-            inputs[name] = _generic_poly(R.dim, degree, R.function_constraint, alloc)
-        return inputs
-
-    section_vars = R.constraint.allowed_vars(R.dim)
-    function_vars = R.function_constraint.allowed_vars(R.dim)
-    coordinates = {name: section_vars if name.startswith("e") else function_vars for name in names}
-    report = _decide(axiom_id, probes, residual_fn, generic, family, detail, coordinates)
+    report = _decide(axiom_id, R, family, flux, explicit_sections, detail)
     R.check_cache[cache_key] = report
     return replace(report, check_id=requested)
 
@@ -580,7 +532,7 @@ def check_axiom(
 # -- further conditions --------------------------------------------------------
 
 
-def _derivation_residual(R, X, Y, xi, eta) -> Residuals:
+def _derivation_residual(R, flux, X, Y, xi, eta) -> Residuals:
     Ea, Es = R.E, R.Estar
     primal = (
         d_differential(Es, algebroid_bracket(Ea, X, Y).as_form())
@@ -607,24 +559,7 @@ def check_derivation_condition(
     cached = R.check_cache.get(cache_key)
     if cached is not None:
         return cached
-    batt = _battery_sections(R)
-    xs = [s.X for s in batt if not s.X.is_zero()]
-    xis = [s.xi for s in batt if not s.xi.is_zero()]
-    zero_x = VectorField.zero(E, R.dim)
-    zero_xi = VectorField.zero(ESTAR, R.dim)
-    probes = itertools.chain(
-        ({"X": a, "Y": b, "xi": zero_xi, "eta": zero_xi} for a, b in itertools.product(xs, repeat=2)),
-        ({"X": zero_x, "Y": zero_x, "xi": a, "eta": b} for a, b in itertools.product(xis, repeat=2)),
-    )
-
-    def generic(degree: int, alloc: _Allocator) -> dict:
-        sec1 = _generic_section(R, degree, alloc)
-        sec2 = _generic_section(R, degree, alloc)
-        return {"X": sec1.X, "Y": sec2.X, "xi": sec1.xi, "eta": sec2.xi}
-
-    coordinates = dict.fromkeys(("X", "Y", "xi", "eta"), R.constraint.allowed_vars(R.dim))
-    residual_fn = partial(_derivation_residual, R)
-    report = _decide("derivation", probes, residual_fn, generic, family, coordinates=coordinates)
+    report = _decide("derivation", R, family)
     R.check_cache[cache_key] = report
     return report
 
@@ -640,13 +575,16 @@ def _has_coordinate_anchors(R: DoubledRealization) -> bool:
     return True
 
 
-def _strong_fn_residual(f: PolyExpr, g: PolyExpr) -> Residuals:
+def _strong_fn_residual(R, flux, f: PolyExpr, g: PolyExpr) -> Residuals:
     return [("scalar", eta_pairing(f, g))]
 
 
-def _strong_part_residual(part: str, f: PolyExpr, e: DoubledSection) -> Residuals:
-    comps = e.X.comps if part == "X" else e.xi.comps
-    return [(f"{part}[{mu}]", eta_pairing(f, comp)) for mu, comp in enumerate(comps, start=1)]
+def _strong_vec_residual(R, flux, f: PolyExpr, e: DoubledSection) -> Residuals:
+    return [(f"X[{mu}]", eta_pairing(f, comp)) for mu, comp in enumerate(e.X.comps, start=1)]
+
+
+def _strong_form_residual(R, flux, f: PolyExpr, e: DoubledSection) -> Residuals:
+    return [(f"xi[{mu}]", eta_pairing(f, comp)) for mu, comp in enumerate(e.xi.comps, start=1)]
 
 
 def check_strong_constraint(
@@ -669,33 +607,7 @@ def check_strong_constraint(
             detail="anchors are not the flat identity blocks; gradient-pairing form does not apply",
         )
 
-    functions = _battery_functions(R, R.function_constraint)
-    sections = _battery_sections(R)
-    function_vars = R.function_constraint.allowed_vars(R.dim)
-
-    if level == "functions":
-        probes = ({"f": f, "g": g} for f, g in itertools.product(functions, repeat=2))
-        residual_fn = _strong_fn_residual
-
-        def generic(degree: int, alloc: _Allocator) -> dict:
-            f = _generic_poly(R.dim, degree, R.function_constraint, alloc)
-            g = _generic_poly(R.dim, degree, R.function_constraint, alloc)
-            return {"f": f, "g": g}
-
-        coordinates = {"f": function_vars, "g": function_vars}
-    else:
-        probes = (
-            {"f": f, "e": s}
-            for f, s in itertools.product(functions[:4], sections)
-        )
-        residual_fn = partial(_strong_part_residual, "X" if level == "vectors" else "xi")
-
-        def generic(degree: int, alloc: _Allocator) -> dict:
-            f = _generic_poly(R.dim, degree, R.function_constraint, alloc)
-            return {"f": f, "e": _generic_section(R, degree, alloc)}
-
-        coordinates = {"f": function_vars, "e": R.constraint.allowed_vars(R.dim)}
-    return _decide(check_id, probes, residual_fn, generic, family, coordinates=coordinates)
+    return _decide(check_id, R, family)
 
 
 def check_anchor_antisymmetry(R: DoubledRealization) -> AxiomReport:
@@ -843,11 +755,13 @@ def _jac_f_condition_residual(R, F, e1, e2, e3) -> DoubledSection:
     return total - correction
 
 
-def _bianchi_comparison_residual(R, F, frame: str, d_three: FormField, e1, e2, e3) -> Residuals:
+def _bianchi_comparison_residual(R, F, e1, e2, e3) -> Residuals:
     """The twisted Jacobi obstruction minus the triple contraction of the
-    derivative of the twist's 3-form."""
+    derivative of the twist's 3-form (of a twist that ``check_bianchi``
+    accepts)."""
     lhs = _jac_f_condition_residual(R, F, e1, e2, e3)
-    contracted = d_three
+    frame = _flux_frame_type(R, F)
+    contracted = d_differential(R.E if frame == "H" else R.Estar, _flux_three_form(R, F, frame))
     # Slot order pinned by the identity itself: the third section fills
     # the first slot of the 4-form, then the second, then the first.
     for v in [s.X if frame == "H" else s.xi for s in (e3, e2, e1)]:
@@ -901,18 +815,8 @@ def check_bianchi(
         else R.E.anchor_is_zero() and not R.E.structure
     )
     if one_sided:
-
-        def generic(degree: int, alloc: _Allocator) -> dict:
-            return {f"e{i}": _generic_section(R, degree, alloc) for i in (1, 2, 3)}
-
-        comparison = _decide(
-            "bianchi",
-            (),
-            partial(_bianchi_comparison_residual, R, F, frame, d_three),
-            generic,
-            family,
-            f"{detail}; twisted Jacobi obstruction disagrees with the contracted derivative",
-        )
+        disagrees = f"{detail}; twisted Jacobi obstruction disagrees with the contracted derivative"
+        comparison = _decide("bianchi", R, family, F, detail=disagrees)
         if not comparison.passed():
             return comparison
         detail += (
@@ -921,6 +825,95 @@ def check_bianchi(
     else:
         detail += "; obstruction comparison skipped: realization is not in the one-sided frame"
     return _report("bianchi", residuals, {}, family.degree, detail)
+
+
+# -- the residual table ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Residual:
+    """One residual that ``_decide`` proves.
+
+    ``residual(R, flux, **inputs)`` returns its components.  ``slots`` names
+    its inputs with their kinds (``"section"``, the ``E`` or ``ESTAR`` part
+    of one, or ``"function"``) in allocation order; a witness depends on the
+    relative order of the parameters in its component, so reordering slots
+    can change reports.  ``probes(R, sections, functions)`` yields concrete
+    inputs in slot order from the probe sections and test functions.
+    """
+
+    order: int
+    residual: Callable[..., Residuals]
+    slots: tuple[tuple[str, str], ...]
+    probes: Callable[[DoubledRealization, list, list], Iterable[tuple]]
+
+
+def _triples(R, sections, functions):
+    return itertools.islice(itertools.product(sections, repeat=3), 120)
+
+
+def _derivation_probes(R, sections, functions):
+    # pairs of E parts with zero E* parts, then the mirror
+    xs = [s.X for s in sections if not s.X.is_zero()]
+    xis = [s.xi for s in sections if not s.xi.is_zero()]
+    zero_x, zero_xi = VectorField.zero(E, R.dim), VectorField.zero(ESTAR, R.dim)
+    return itertools.chain(
+        ((a, b, zero_xi, zero_xi) for a, b in itertools.product(xs, repeat=2)),
+        ((zero_x, zero_x, a, b) for a, b in itertools.product(xis, repeat=2)),
+    )
+
+
+_E1, _E2, _E3 = (("e1", "section"), ("e2", "section"), ("e3", "section"))
+_F, _G = ("f", "function"), ("g", "function")
+
+# Keyed by the check id given to ``_decide``.  ``order`` is the total order
+# of the residual as a multidifferential operator in Grothendieck's
+# algebraic sense (EGA IV 16.8): counted over all inputs together, no term
+# differentiates them more than k times, so every (k+1)-fold commutator
+# with multiplication by admissible coordinates, each acting on any one
+# input, vanishes.  tests/test_jet_order.py checks this for each entry and
+# for each primitive: ``c_bracket``, ``twisted_c_bracket``, ``D_op``,
+# ``rho_V_dot``, the algebroid bracket, ``d_differential`` and ``schouten``
+# have total order 1 and ``pairing`` order 0.  C2, C3, C5 and the bianchi
+# comparison apply one of them at a time, so they have order 1.  C1 nests a
+# bracket in a bracket, the derivation condition a bracket in a
+# differential, and C4 and the strong constraint pair two gradients, so
+# they have order 2.
+#
+# Total order k bounds the order in each input, and an operator of order k
+# in every input has a value at a point that depends only on the k-jets of
+# the inputs there.  Generic data of degree k takes every admissible k-jet
+# at every point, so a residual that vanishes on it vanishes for admissible
+# data of any degree.
+#
+# An order-2 residual may still be first order in every input, and then
+# degree-1 data decides it.  ``_first_order_in_every_input`` certifies this:
+# a 2-fold commutator in one input of an operator of total order 2 has total
+# order 0, so it is tensorial in every input (its value at a point depends
+# only on the values of the inputs there) and generic constant data decides
+# it.  When every such commutator vanishes, the residual is first order in
+# each input.
+RESIDUALS: dict[str, Residual] = {
+    "C1": Residual(2, _c1_residual, (_E1, _E2, _E3), _triples),
+    "C2": Residual(1, _anchor_residual, (_E1, _E2), lambda R, s, fs: itertools.product(s, repeat=2)),
+    "C3": Residual(
+        1, _leibniz_residual, (_E1, _E2, _F),
+        lambda R, s, fs: itertools.islice(itertools.product(s, s, fs[:3]), 60),
+    ),
+    "C4": Residual(2, _c4_residual, (_F, _G), lambda R, s, fs: itertools.product(fs, repeat=2)),
+    "C5": Residual(1, _compat_residual, (_E1, _E2, _E3), _triples),
+    "derivation": Residual(
+        2, _derivation_residual, (("X", E), ("Y", E), ("xi", ESTAR), ("eta", ESTAR)), _derivation_probes
+    ),
+    "strong-fn": Residual(2, _strong_fn_residual, (_F, _G), lambda R, s, fs: itertools.product(fs, repeat=2)),
+    "strong-vec": Residual(
+        2, _strong_vec_residual, (_F, ("e", "section")), lambda R, s, fs: itertools.product(fs[:4], s)
+    ),
+    "strong-form": Residual(
+        2, _strong_form_residual, (_F, ("e", "section")), lambda R, s, fs: itertools.product(fs[:4], s)
+    ),
+    "bianchi": Residual(1, _bianchi_comparison_residual, (_E1, _E2, _E3), lambda R, s, fs: ()),
+}
 
 
 # -- classification -----------------------------------------------------------

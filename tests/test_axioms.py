@@ -1,8 +1,10 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 import oracles
+from doubled_algebroids import axioms
 from doubled_algebroids.algebroid import (
     E,
     ESTAR,
@@ -13,8 +15,10 @@ from doubled_algebroids.algebroid import (
 from doubled_algebroids.axioms import (
     FAIL,
     PASS,
+    RESIDUALS,
     SKIPPED,
     GenericSectionFamily,
+    _decide,
     _generic_section,
     check_anchor_antisymmetry,
     check_axiom,
@@ -27,6 +31,7 @@ from doubled_algebroids.axioms import (
     generic_functions,
     generic_sections,
     jacobiator,
+    parameter_count,
     quadratic_lie_algebra_check,
     t_scalar,
 )
@@ -40,7 +45,7 @@ from doubled_algebroids.doubled import (
     pairing,
 )
 from doubled_algebroids.generic import _Allocator
-from doubled_algebroids.poly import PolyExpr, Var
+from doubled_algebroids.poly import KIND_X, DoubledIndex, PolyExpr, Var, poly_sum
 
 ZERO = PolyExpr.zero()
 ONE = PolyExpr.one()
@@ -687,3 +692,52 @@ def test_reports_deterministic():
     a = check_axiom(flat(2), "C4", FAM)
     b = check_axiom(DoubledRealization.flat(2), "C4", FAM)
     assert a.to_json_dict() == b.to_json_dict()
+
+
+def _first_component(value) -> PolyExpr:
+    if isinstance(value, PolyExpr):
+        return value
+    return value.X.comps[0] if isinstance(value, DoubledSection) else value.comps[0]
+
+
+def _planted_first_order(R, flux, **inputs):
+    # First order in every input and nonzero on degree-1 data: an order-2
+    # entry passes the certificate with all its weights, the degree-1 proof
+    # fails and the inputs are rebuilt at the family degree.
+    dx1 = DoubledIndex(KIND_X, 1)
+    return [("planted", poly_sum(_first_component(v).partial(dx1) for v in inputs.values()))]
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("mask", ["unrestricted", "x-only"])
+@pytest.mark.parametrize("check_id", sorted(RESIDUALS))
+def test_decide_allocates_within_the_parameter_budget(check_id, mask, degree, monkeypatch):
+    # The run checks parameter_count against the budget before it builds
+    # any data, so no ordinal _decide allocates may exceed it.
+    constraint = Admissibility.x_only(2) if mask == "x-only" else None
+    R = flat(2, constraint=constraint, function_constraint=constraint)
+    entry = RESIDUALS[check_id]
+    monkeypatch.setitem(
+        RESIDUALS, check_id, replace(entry, residual=_planted_first_order, probes=lambda *a: ())
+    )
+    highest, fresh = [], _Allocator.fresh
+
+    def recorded(alloc):
+        highest.append(fresh(alloc))
+        return highest[-1]
+
+    monkeypatch.setattr(_Allocator, "fresh", recorded)
+    family = GenericSectionFamily(degree=degree)
+    assert _decide(check_id, R, family).status == FAIL
+    assert max(highest) <= parameter_count(2, family, R.constraint, R.function_constraint)
+
+
+def test_generic_witnesses_do_not_depend_on_the_section_count(monkeypatch):
+    # With the batteries empty, each check is decided, and its witness
+    # built, on generic data; a count above what a check uses changes nothing.
+    monkeypatch.setattr(axioms, "_battery_sections", lambda R: [])
+    monkeypatch.setattr(axioms, "_battery_functions", lambda R, admissibility: [])
+    for check in (lambda R, fam: check_axiom(R, "C4", fam), check_derivation_condition):
+        three, five = (check(flat(2), GenericSectionFamily(degree=2, count=n)) for n in (3, 5))
+        assert three.status == FAIL
+        assert three == five

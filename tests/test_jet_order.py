@@ -1,13 +1,14 @@
 """Mechanical check of the order table behind the generic proofs.
 
-``axioms.JET_ORDER`` says that each generic residual is a multidifferential
-operator of total order at most k: counted over all its inputs together, no
-term differentiates them more than k times, so degree-k generic data
-decides it for data of any degree.  In Grothendieck's algebraic sense
-(EGA IV 16.8) that holds exactly when, for every k+1 pairs (s_0, c_0) ..
-(s_k, c_k) of an input slot and an admissible coordinate (repeats allowed,
-slots mixed), the (k+1)-fold commutator of P with multiplication of input
-s_i by c_i vanishes.  Expanded, that commutator is
+Each entry of ``axioms.RESIDUALS`` declares its residual a
+multidifferential operator of total order at most k: counted over all its
+inputs together, no term differentiates them more than k times, so
+degree-k generic data decides it for data of any degree.  In
+Grothendieck's algebraic sense (EGA IV 16.8) that holds exactly when, for
+every k+1 pairs (s_0, c_0) .. (s_k, c_k) of an input slot and an
+admissible coordinate (repeats allowed, slots mixed), the (k+1)-fold
+commutator of P with multiplication of input s_i by c_i vanishes.
+Expanded, that commutator is
 
     sum over subsets S of the k+1 pairs of
         (-1)^(k+1-|S|) * (product of the c not in S)
@@ -34,9 +35,10 @@ data and so do its one-slot commutators, but its mixed commutator in
 (e2, x1), (e3, x1) does not.
 """
 
-import inspect
 import itertools
 import json
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -52,21 +54,18 @@ from doubled_algebroids.algebroid import (
     d_differential,
     schouten,
 )
+from doubled_algebroids import axioms
 from doubled_algebroids.axioms import (
-    JET_ORDER,
+    RESIDUALS,
     GenericSectionFamily,
-    _axiom_residual,
-    _bianchi_comparison_residual,
+    Residual,
     _decide,
-    _derivation_residual,
     _first_order_in_every_input,
-    _flux_frame_type,
-    _flux_three_form,
-    _generic_section,
+    _generic_inputs,
     _jac_f_condition_residual,
     _report,
+    _slot_coordinates,
     _strong_fn_residual,
-    _strong_part_residual,
 )
 from doubled_algebroids.cli import parse_scenario
 from doubled_algebroids.doubled import (
@@ -158,30 +157,26 @@ def order_violations(residual_fn, inputs: dict, coordinates: dict, order: int) -
     return violations
 
 
-def generic_inputs(R, residual_fn, degree=1) -> tuple[dict, dict]:
-    """Generic inputs of ``degree`` for every keyword of ``residual_fn`` (e*:
-    sections, f/g: test functions, X/Y and xi/eta: the two parts of
-    sections, W: a bivector of E), and the coordinates each may be
-    multiplied by."""
+def generic_inputs(R, slots, degree=1) -> tuple[dict, dict]:
+    """Generic inputs of ``degree`` for ``slots``, built by the engine except
+    for a ``"bivector"`` slot (a bivector of E), and the coordinates each may
+    be multiplied by."""
     alloc = _Allocator(1)
-    inputs, coordinates = {}, {}
-    for name in inspect.signature(residual_fn).parameters:
-        if name in ("f", "g"):
-            inputs[name] = _generic_poly(R.dim, degree, R.function_constraint, alloc)
-            coordinates[name] = R.function_constraint.allowed_vars(R.dim)
-            continue
-        if name == "W":
+    inputs = {}
+    for name, kind in slots:
+        if kind == "bivector":
             comps = {
                 pair: _generic_poly(R.dim, degree, R.constraint, alloc)
                 for pair in itertools.combinations(range(1, R.dim + 1), 2)
             }
             inputs[name] = FormField(ESTAR, 2, comps, dim=R.dim)
         else:
-            section = _generic_section(R, degree, alloc)
-            parts = {"X": section.X, "Y": section.X, "xi": section.xi, "eta": section.xi}
-            inputs[name] = parts.get(name, section)
-        coordinates[name] = R.constraint.allowed_vars(R.dim)
-    return inputs, coordinates
+            inputs.update(_generic_inputs(R, ((name, kind),), degree, alloc))
+    return inputs, _slot_coordinates(R, slots)
+
+
+def no_probes(R, sections, functions):
+    return ()
 
 
 # -- realizations ----------------------------------------------------------------
@@ -206,77 +201,36 @@ def sheared_d1() -> DoubledRealization:
 
 FLUX_D2 = FluxTensor(2, {(1, 2, 4): X1, (2, 1, 4): -X1, (1, 3, 2): ONE})
 FLUX_D1 = FluxTensor(1, {(1, 2, 1): X1, (2, 1, 2): ONE})
+HTWIST = parse_scenario(json.loads((SCENARIOS / "htwist-closed-d3.json").read_text(encoding="utf-8")))
 
 
-def bianchi_case(obstruction_only=False):
-    # The comparison vanishes on this one-sided frame, so the twisted Jacobi
-    # obstruction it contains, which does not, is also checked on its own.
-    def build():
-        data = json.loads((SCENARIOS / "htwist-closed-d3.json").read_text(encoding="utf-8"))
-        scenario = parse_scenario(data)
-        R, F = scenario.realization(), scenario.flux
-        frame = _flux_frame_type(R, F)
-        algebroid = R.E if frame == "H" else R.Estar
-        d_three = d_differential(algebroid, _flux_three_form(R, F, frame))
-
-        def residual(e1, e2, e3):
-            if obstruction_only:
-                return _jac_f_condition_residual(R, F, e1, e2, e3).components()
-            return _bianchi_comparison_residual(R, F, frame, d_three, e1, e2, e3)
-
-        return R, residual
-
-    return build
+def _jac_f_obstruction(R, F, e1, e2, e3):
+    return _jac_f_condition_residual(R, F, e1, e2, e3).components()
 
 
-def axiom_case(axiom_id, realization, flux=None):
-    def build():
-        R = realization()
-        return R, _axiom_residual(R, axiom_id, flux)
-
-    return build
-
-
-def derivation_case():
-    R = affine_d2()
-
-    def residual(X, Y, xi, eta):
-        return _derivation_residual(R, X, Y, xi, eta)
-
-    return R, residual
-
-
-def strong_case(part):
-    def build():
-        R = affine_d2()
-        if part is None:
-            return R, _strong_fn_residual
-
-        def residual(f, e):
-            return _strong_part_residual(part, f, e)
-
-        return R, residual
-
-    return build
-
-
-# Each case: (entry of JET_ORDER, builder of (realization, residual)).
+# Each case: (entry, realization builder, flux).  The bianchi comparison
+# vanishes on its one-sided frame, so the twisted Jacobi obstruction it
+# contains, which does not, is also checked on its own.
 CASES = {
-    "C1": ("C1", axiom_case("C1", sheared_d1)),
-    "C1-flux": ("C1", axiom_case("C1", sheared_d1, FLUX_D1)),
-    "C2": ("C2", axiom_case("C2", affine_d2)),
-    "C2-flux": ("C2", axiom_case("C2", affine_d2, FLUX_D2)),
-    "C3": ("C3", axiom_case("C3", affine_d2)),
-    "C3-flux": ("C3", axiom_case("C3", affine_d2, FLUX_D2)),
-    "C4": ("C4", axiom_case("C4", affine_d2)),
-    "C5": ("C5", axiom_case("C5", affine_d2)),
-    "C5-flux": ("C5", axiom_case("C5", affine_d2, FLUX_D2)),
-    "derivation": ("derivation", derivation_case),
-    "strong-fn": ("strong-fn", strong_case(None)),
-    "strong-vec": ("strong-vec", strong_case("X")),
-    "strong-form": ("strong-form", strong_case("xi")),
-    "bianchi": ("bianchi", bianchi_case()),
-    "bianchi-obstruction": ("bianchi", bianchi_case(obstruction_only=True)),
+    "C1": (RESIDUALS["C1"], sheared_d1, None),
+    "C1-flux": (RESIDUALS["C1"], sheared_d1, FLUX_D1),
+    "C2": (RESIDUALS["C2"], affine_d2, None),
+    "C2-flux": (RESIDUALS["C2"], affine_d2, FLUX_D2),
+    "C3": (RESIDUALS["C3"], affine_d2, None),
+    "C3-flux": (RESIDUALS["C3"], affine_d2, FLUX_D2),
+    "C4": (RESIDUALS["C4"], affine_d2, None),
+    "C5": (RESIDUALS["C5"], affine_d2, None),
+    "C5-flux": (RESIDUALS["C5"], affine_d2, FLUX_D2),
+    "derivation": (RESIDUALS["derivation"], affine_d2, None),
+    "strong-fn": (RESIDUALS["strong-fn"], affine_d2, None),
+    "strong-vec": (RESIDUALS["strong-vec"], affine_d2, None),
+    "strong-form": (RESIDUALS["strong-form"], affine_d2, None),
+    "bianchi": (RESIDUALS["bianchi"], HTWIST.realization, HTWIST.flux),
+    "bianchi-obstruction": (
+        replace(RESIDUALS["bianchi"], residual=_jac_f_obstruction),
+        HTWIST.realization,
+        HTWIST.flux,
+    ),
 }
 
 
@@ -288,54 +242,75 @@ def _form_components(prefix, form):
     return [(f"{prefix}{key}", poly) for key, poly in sorted(form.comps.items())]
 
 
+SECTIONS = (("e1", "section"), ("e2", "section"))
+
+
 def primitives(R):
     """The operations the residuals are made of, each as (its total order,
-    a residual of its inputs), on the realization ``R``."""
+    its slots, a residual of its inputs), on the realization ``R``."""
     return {
-        "c_bracket": (1, lambda e1, e2: c_bracket(R, e1, e2).components()),
-        "twisted_c_bracket": (1, lambda e1, e2: twisted_c_bracket(R, FLUX_D2, e1, e2).components()),
-        "D_op": (1, lambda f: D_op(R, f).components()),
-        "rho_V_dot": (1, lambda e, f: [("scalar", rho_V_dot(R, e, f))]),
-        "algebroid_bracket": (1, lambda X, Y: _labeled("X", algebroid_bracket(R.E, X, Y).comps)),
+        "c_bracket": (1, SECTIONS, lambda e1, e2: c_bracket(R, e1, e2).components()),
+        "twisted_c_bracket": (
+            1,
+            SECTIONS,
+            lambda e1, e2: twisted_c_bracket(R, FLUX_D2, e1, e2).components(),
+        ),
+        "D_op": (1, (("f", "function"),), lambda f: D_op(R, f).components()),
+        "rho_V_dot": (
+            1,
+            (("e", "section"), ("f", "function")),
+            lambda e, f: [("scalar", rho_V_dot(R, e, f))],
+        ),
+        "algebroid_bracket": (
+            1,
+            (("X", E), ("Y", E)),
+            lambda X, Y: _labeled("X", algebroid_bracket(R.E, X, Y).comps),
+        ),
         "d_differential": (
             1,
+            (("X", E), ("f", "function")),
             lambda X, f: _form_components("dX", d_differential(R.Estar, X.as_form()))
             + _form_components("df", d_differential(R.E, FormField.scalar(E, f, R.dim))),
         ),
-        "schouten": (1, lambda X, W: _form_components("s", schouten(R.E, X, W))),
-        "pairing": (0, lambda e1, e2: [("scalar", pairing("+", e1, e2))]),
+        "schouten": (
+            1,
+            (("X", E), ("W", "bivector")),
+            lambda X, W: _form_components("s", schouten(R.E, X, W)),
+        ),
+        "pairing": (0, SECTIONS, lambda e1, e2: [("scalar", pairing("+", e1, e2))]),
     }
 
 
 def test_every_order_table_entry_has_a_case():
-    assert {entry for entry, _ in CASES.values()} == set(JET_ORDER)
+    entries = [entry for entry, _, _ in CASES.values()]
+    assert [check_id for check_id, entry in RESIDUALS.items() if entry not in entries] == []
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_residual_has_at_most_its_declared_order(case):
-    entry, build = CASES[case]
-    R, residual = build()
-    inputs, coordinates = generic_inputs(R, residual)
-    assert order_violations(residual, inputs, coordinates, JET_ORDER[entry]) == []
+    entry, realization, flux = CASES[case]
+    R = realization()
+    inputs, coordinates = generic_inputs(R, entry.slots)
+    residual = partial(entry.residual, R, flux)
+    assert order_violations(residual, inputs, coordinates, entry.order) == []
 
 
-@pytest.mark.parametrize(
-    "case", sorted(case for case, (entry, _) in CASES.items() if JET_ORDER[entry] == 2)
-)
+@pytest.mark.parametrize("case", sorted(case for case, (entry, _, _) in CASES.items() if entry.order == 2))
 def test_certificate_shows_each_order_two_case_first_order_in_each_input(case):
     # Each order-2 check proves on degree-1 data only behind this certificate.
-    entry, build = CASES[case]
-    R, residual = build()
-    inputs, coordinates = generic_inputs(R, residual, degree=0)
+    entry, realization, flux = CASES[case]
+    R = realization()
+    inputs, coordinates = generic_inputs(R, entry.slots, degree=0)
     after_inputs = _Allocator(1 + max(max(_params(value)) for value in inputs.values()))
+    residual = partial(entry.residual, R, flux)
     assert _first_order_in_every_input(residual, inputs, coordinates, after_inputs)
 
 
 @pytest.mark.parametrize("name", sorted(primitives(None)))
 def test_primitive_has_its_total_order(name):
     R = affine_d2()
-    order, residual = primitives(R)[name]
-    inputs, coordinates = generic_inputs(R, residual)
+    order, slots, residual = primitives(R)[name]
+    inputs, coordinates = generic_inputs(R, slots)
     assert order_violations(residual, inputs, coordinates, order) == []
     if order:
         # and no lower, so the coordinate-dependent anchor exercises the test
@@ -344,13 +319,13 @@ def test_primitive_has_its_total_order(name):
 
 def test_planted_second_order_term_fails_the_order_one_test():
     R = affine_d2()
-    c5 = _axiom_residual(R, "C5", FLUX_D2)
+    c5 = partial(RESIDUALS["C5"].residual, R, FLUX_D2)
 
     def mutant(e1, e2, e3):
         [(label, poly)] = c5(e1=e1, e2=e2, e3=e3)
         return [(label, poly + e2.X.comps[0].partial(DX1).partial(DX1))]
 
-    inputs, coordinates = generic_inputs(R, mutant)
+    inputs, coordinates = generic_inputs(R, RESIDUALS["C5"].slots)
     assert order_violations(c5, inputs, coordinates, 1) == []
     assert order_violations(mutant, inputs, coordinates, 1) == [(("e2", "x1"), ("e2", "x1"))]
 
@@ -359,14 +334,14 @@ def test_planted_mixed_term_fails_the_total_order_test():
     # d^2(e2) * d^2(e3) vanishes on degree-1 data, and so does every
     # commutator taken in one slot; only the mixed one sees it.
     R = affine_d2()
-    c5 = _axiom_residual(R, "C5", FLUX_D2)
+    c5 = partial(RESIDUALS["C5"].residual, R, FLUX_D2)
 
     def mutant(e1, e2, e3):
         [(label, poly)] = c5(e1=e1, e2=e2, e3=e3)
         planted = e2.X.comps[0].partial(DX1).partial(DX1) * e3.X.comps[0].partial(DX1).partial(DX1)
         return [(label, poly + planted)]
 
-    inputs, coordinates = generic_inputs(R, mutant)
+    inputs, coordinates = generic_inputs(R, RESIDUALS["C5"].slots)
     assert order_violations(mutant, inputs, coordinates, 1) == [(("e2", "x1"), ("e3", "x1"))]
 
 
@@ -399,73 +374,84 @@ def test_lie_algebroid_identities_are_first_order(algebroid):
     assert order_violations(residual, inputs, coordinates, 1) == []
 
 
-def test_decide_proves_at_the_jet_degree_and_rebuilds_only_for_a_witness():
+def record_builds(monkeypatch) -> list:
+    """The degree of every set of generic inputs ``_decide`` builds."""
     built = []
 
-    def generic(degree, alloc):
+    def recorded(R, slots, degree, alloc):
         built.append(degree)
-        return {name: _generic_poly(1, degree, None, alloc) for name in ("f", "g")}
+        return _generic_inputs(R, slots, degree, alloc)
 
-    def vanishing(f, g):
+    monkeypatch.setattr(axioms, "_generic_inputs", recorded)
+    return built
+
+
+def test_decide_proves_at_the_jet_degree_and_rebuilds_only_for_a_witness(monkeypatch):
+    R = DoubledRealization.flat(1)
+    functions = (("f", "function"), ("g", "function"))
+
+    def vanishing(R, flux, f, g):
         return [("scalar", ZERO)]
 
-    def first_order(f, g):
+    def first_order(R, flux, f, g):
         return [("scalar", f.partial(DX1) * g)]
 
+    def decide(order, residual, family):
+        monkeypatch.setitem(RESIDUALS, "C5", Residual(order, residual, functions, no_probes))
+        return _decide("C5", R, family)
+
+    built = record_builds(monkeypatch)
     # an order-1 entry proves at degree 1
-    report = _decide("C5", (), vanishing, generic, GenericSectionFamily(degree=3))
+    report = decide(1, vanishing, GenericSectionFamily(degree=3))
     assert (report.status, report.degree, built) == ("PASS", 3, [1])
     built.clear()
-    report = _decide("C5", (), first_order, generic, GenericSectionFamily(degree=3))
+    report = decide(1, first_order, GenericSectionFamily(degree=3))
     assert (report.status, report.degree, built) == ("FAIL", 3, [1, 3])
-    full = generic(3, _Allocator(1))
-    assert report == _report("C5", first_order(**full), full, 3)
+    full = _generic_inputs(R, functions, 3, _Allocator(1))
+    assert report == _report("C5", first_order(R, None, **full), full, 3)
 
     # an order-2 entry at degree 2: constant data for the certificate, then
     # degree 1; eta(df, dg) is first order in each input, so it passes the
     # certificate and fails only at degree 1
-    coordinates = dict.fromkeys(("f", "g"), coordinate_vars(1))
     second = GenericSectionFamily(degree=2)
     built.clear()
-    report = _decide("C1", (), vanishing, generic, second, coordinates=coordinates)
+    report = decide(2, vanishing, second)
     assert (report.status, report.degree, built) == ("PASS", 2, [0, 1])
     built.clear()
-    report = _decide("C1", (), _strong_fn_residual, generic, second, coordinates=coordinates)
+    report = decide(2, _strong_fn_residual, second)
     assert (report.status, report.degree, built) == ("FAIL", 2, [0, 1, 2])
-    full = generic(2, _Allocator(1))
-    assert report == _report("C1", _strong_fn_residual(**full), full, 2)
+    full = _generic_inputs(R, functions, 2, _Allocator(1))
+    assert report == _report("C5", _strong_fn_residual(R, None, **full), full, 2)
 
 
-def test_certificate_rejects_a_second_order_term_that_degree_one_data_misses():
+def test_certificate_rejects_a_second_order_term_that_degree_one_data_misses(monkeypatch):
     # C1 holds on the flat x-only pair.  A planted d^2/dx1^2 of a component
     # of e1 vanishes on degree-1 data, so only the certificate keeps it from
     # a PASS at degree 1; the degree-2 proof then FAILs it.
     x_only = Admissibility.x_only(1)
     R = DoubledRealization.flat(1, constraint=x_only, function_constraint=x_only)
-    c1 = _axiom_residual(R, "C1", None)
+    entry = RESIDUALS["C1"]
+    c1 = partial(entry.residual, R, None)
 
-    def mutant(e1, e2, e3):
+    def mutant(R, flux, e1, e2, e3):
         planted = e1.X.comps[0].partial(DX1).partial(DX1)
         residuals = c1(e1=e1, e2=e2, e3=e3)
         return [(label, poly + planted if label == "X[1]" else poly) for label, poly in residuals]
 
-    built = []
-
-    def generic(degree, alloc):
-        built.append(degree)
-        return {f"e{i}": _generic_section(R, degree, alloc) for i in (1, 2, 3)}
-
-    coordinates = dict.fromkeys(("e1", "e2", "e3"), x_only.allowed_vars(1))
-    family = GenericSectionFamily(degree=2)
+    coordinates = _slot_coordinates(R, entry.slots)
     alloc = _Allocator(1)
-    constants = generic(0, alloc)
+    constants = _generic_inputs(R, entry.slots, 0, alloc)
     assert _first_order_in_every_input(c1, constants, coordinates, _Allocator(alloc.next_index))
-    assert not _first_order_in_every_input(mutant, constants, coordinates, alloc)
-    assert all(poly.is_zero() for _, poly in mutant(**generic(1, _Allocator(1))))
+    assert not _first_order_in_every_input(partial(mutant, R, None), constants, coordinates, alloc)
+    degree_one = _generic_inputs(R, entry.slots, 1, _Allocator(1))
+    assert all(poly.is_zero() for _, poly in mutant(R, None, **degree_one))
 
-    built.clear()
-    assert _decide("C1", (), c1, generic, family, coordinates=coordinates).status == "PASS"
+    family = GenericSectionFamily(degree=2)
+    built = record_builds(monkeypatch)
+    monkeypatch.setitem(RESIDUALS, "C1", replace(entry, probes=no_probes))
+    assert _decide("C1", R, family).status == "PASS"
     assert built == [0, 1]
     built.clear()
-    report = _decide("C1", (), mutant, generic, family, coordinates=coordinates)
+    monkeypatch.setitem(RESIDUALS, "C1", replace(entry, residual=mutant, probes=no_probes))
+    report = _decide("C1", R, family)
     assert (report.status, built) == ("FAIL", [0, 2])
