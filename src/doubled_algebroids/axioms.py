@@ -12,14 +12,15 @@ degree covers all admissible polynomial data of any degree.  FAIL always
 carries a witness: a concrete substitution under which some residual
 component evaluates to a nonzero rational.
 
-Checks probe a small deterministic battery of concrete inputs first, so
-failures are found fast and come with small readable counterexamples; the
-generic computation only has to run when everything passes, where it is
-the proof.  It runs at degree ``min(order, family degree)``, except that a
-second-order residual that a certificate on generic constant data shows
-to be first order in every input is proved at degree 1.  Only when the
-proof fails are the inputs rebuilt at the family degree, so witnesses come
-from full-degree data.
+A first-order check at family degree >= 1 is proved first, on degree-1
+data: once that passes, no admissible probe can fail.  Every other check,
+and a first-order check whose proof fails, probes a small deterministic
+battery of concrete inputs, so failures come with small readable
+counterexamples.  The proof runs at degree ``min(order, family degree)``,
+except that a second-order residual that a certificate on generic
+constant data shows to be first order in every input is proved at degree
+1.  Only when the proof fails are the inputs rebuilt at the family degree,
+so witnesses come from full-degree data.
 """
 
 from __future__ import annotations
@@ -179,11 +180,10 @@ def parameter_count(
 
     No check builds more than three generic sections (the ``RESIDUALS``
     entries and ``quadratic_lie_algebra_check``) or more than two test
-    functions (of degree at least 1 in the quadratic check).  The count
-    reserves ``family.count`` sections when that is more than three, so a
-    larger ``sections`` setting keeps the budget it has always had.
+    functions (of degree at least 1 in the quadratic check), whatever
+    ``family.count`` is, so the count reserves three sections.
     """
-    sections = max(family.count, 3) * 2 * dim * monomial_count(dim, family.degree, constraint)
+    sections = 3 * 2 * dim * monomial_count(dim, family.degree, constraint)
     functions = 2 * monomial_count(dim, max(1, family.degree), function_constraint)
     return family.start - 1 + sections + functions
 
@@ -275,6 +275,22 @@ def _generic_inputs(
     return inputs
 
 
+def _jet_proof(
+    R: DoubledRealization, family: GenericSectionFamily, entry: Residual, residual_fn: Callable
+) -> tuple[int, Residuals, dict]:
+    """The jet degree, ``min(order, family.degree)`` or 1 for a certified
+    order-2 residual, and the residual on generic inputs of that degree."""
+    jet = min(entry.order, family.degree)
+    if jet == 2:
+        alloc = _Allocator(family.start)
+        constants = _generic_inputs(R, entry.slots, 0, alloc)
+        coordinates = _slot_coordinates(R, entry.slots)
+        if _first_order_in_every_input(residual_fn, constants, coordinates, alloc):
+            jet = 1
+    inputs = _generic_inputs(R, entry.slots, jet, _Allocator(family.start))
+    return jet, residual_fn(**inputs), inputs
+
+
 def _decide(
     check_id: str,
     R: DoubledRealization,
@@ -283,36 +299,37 @@ def _decide(
     explicit_sections: Sequence[DoubledSection] = (),
     detail: str = "",
 ) -> AxiomReport:
-    """Decide the ``RESIDUALS`` entry ``check_id``: probe concrete inputs
-    (``explicit_sections`` first, then the batteries) for a fast
-    counterexample, then prove on generic inputs of degree
-    ``min(order, family.degree)``, or of degree 1 when an order-2 residual
-    is certified first order in every input.  If that proof fails, the
-    inputs are rebuilt at the family degree for the witness."""
+    """Decide the ``RESIDUALS`` entry ``check_id``: the first failing probe
+    (``explicit_sections`` first, then the batteries), else the proof.  An
+    order-1 entry at family degree >= 1 is proved before it is probed, as no
+    admissible probe can fail once its degree-1 proof passes.  The others
+    probe first: their proof needs the certificate, which costs more than
+    the probes that find their failures.  A failed proof below the family
+    degree is redone at the family degree for the witness."""
     entry = RESIDUALS[check_id]
     residual_fn = partial(entry.residual, R, flux)
-    names = [name for name, _ in entry.slots]
     degree = family.degree
+    proof_first = entry.order == 1 <= degree
+    if proof_first:
+        jet, residuals, inputs = _jet_proof(R, family, entry, residual_fn)
+        if all(poly.is_zero() for _, poly in residuals):
+            return AxiomReport(check_id, PASS, degree=degree, detail=detail)
+    names = [name for name, _ in entry.slots]
     sections = list(explicit_sections) + _battery_sections(R)
     functions = _battery_functions(R, R.function_constraint)
     for values in entry.probes(R, sections, functions):
-        inputs = dict(zip(names, values))
-        report = _report(check_id, residual_fn(**inputs), inputs, degree, detail)
+        probe = dict(zip(names, values))
+        report = _report(check_id, residual_fn(**probe), probe, degree, detail)
         if not report.passed():
             return report
-    jet = min(entry.order, degree)
-    if jet == 2:
-        alloc = _Allocator(family.start)
-        constants = _generic_inputs(R, entry.slots, 0, alloc)
-        coordinates = _slot_coordinates(R, entry.slots)
-        if _first_order_in_every_input(residual_fn, constants, coordinates, alloc):
-            jet = 1
+    if not proof_first:
+        jet, residuals, inputs = _jet_proof(R, family, entry, residual_fn)
     if jet < degree:
-        inputs = _generic_inputs(R, entry.slots, jet, _Allocator(family.start))
-        if all(poly.is_zero() for _, poly in residual_fn(**inputs)):
+        if all(poly.is_zero() for _, poly in residuals):
             return AxiomReport(check_id, PASS, degree=degree, detail=detail)
-    inputs = _generic_inputs(R, entry.slots, degree, _Allocator(family.start))
-    return _report(check_id, residual_fn(**inputs), inputs, degree, detail)
+        inputs = _generic_inputs(R, entry.slots, degree, _Allocator(family.start))
+        residuals = residual_fn(**inputs)
+    return _report(check_id, residuals, inputs, degree, detail)
 
 
 # -- probe batteries ----------------------------------------------------------
@@ -515,6 +532,11 @@ def check_axiom(
         raise ValueError(
             f"axiom {axiom_id} needs {check.sections} sections, family provides {family.count}"
         )
+    # A PASS covers admissible data only; an inadmissible probe could fail.
+    for s, sec in enumerate(explicit_sections):
+        for label, comp in sec.components():
+            if not R.constraint.allows(comp):
+                raise ValueError(f"explicit section {s}: {label} violates the admissibility mask")
     probes_key = tuple(
         tuple(str(comp) for _, comp in sec.components()) for sec in explicit_sections
     )
@@ -852,6 +874,14 @@ def _triples(R, sections, functions):
     return itertools.islice(itertools.product(sections, repeat=3), 120)
 
 
+def _cyclic_triples(R, sections, functions):
+    # The first 120 triples less rotations of earlier (lexicographically
+    # smaller) ones, on which a cyclic sum such as C1's takes the same value.
+    for i, j, k in itertools.islice(itertools.product(range(len(sections)), repeat=3), 120):
+        if (i, j, k) <= min((j, k, i), (k, i, j)):
+            yield sections[i], sections[j], sections[k]
+
+
 def _derivation_probes(R, sections, functions):
     # pairs of E parts with zero E* parts, then the mirror
     xs = [s.X for s in sections if not s.X.is_zero()]
@@ -894,7 +924,7 @@ _F, _G = ("f", "function"), ("g", "function")
 # it.  When every such commutator vanishes, the residual is first order in
 # each input.
 RESIDUALS: dict[str, Residual] = {
-    "C1": Residual(2, _c1_residual, (_E1, _E2, _E3), _triples),
+    "C1": Residual(2, _c1_residual, (_E1, _E2, _E3), _cyclic_triples),
     "C2": Residual(1, _anchor_residual, (_E1, _E2), lambda R, s, fs: itertools.product(s, repeat=2)),
     "C3": Residual(
         1, _leibniz_residual, (_E1, _E2, _F),
@@ -1020,17 +1050,26 @@ class CheckInputs:
 class Check:
     """One check id of the scenario runner.
 
-    ``run(inputs, check_id)`` returns its reports, ``sections`` is the
-    least generic section count it accepts, a check with ``needs_flux`` is
-    SKIPPED when the scenario has no flux, and ``decides`` is what its
-    check function is asked for: the axiom that a ``check_axiom`` id
-    decides (V1 and V2 are C3 and C5), or a strong-constraint level.
+    ``run(inputs, check_id)`` returns its reports, a check with
+    ``needs_flux`` is SKIPPED when the scenario has no flux, and ``decides``
+    is what its check function is asked for: the axiom that a
+    ``check_axiom`` id decides (V1 and V2 are C3 and C5), or a
+    strong-constraint level.
     """
 
     run: Callable[[CheckInputs, str], list[AxiomReport]]
-    sections: int = 0
     needs_flux: bool = False
     decides: Optional[str] = None
+
+    @property
+    def sections(self) -> int:
+        """The least generic section count the check accepts: the section
+        slots of the axiom it decides, the most of any axiom for classify."""
+        if self.run is _run_classify:
+            return max(CHECKS[axiom].sections for axiom in AXIOM_IDS)
+        if self.run is not _run_axiom:
+            return 0
+        return sum(kind == "section" for _, kind in RESIDUALS[self.decides].slots)
 
 
 # The registry entries look the check functions up in this module's globals
@@ -1038,6 +1077,10 @@ class Check:
 def _run_axiom(inputs: CheckInputs, check_id: str) -> list[AxiomReport]:
     R, family, flux = inputs.R, inputs.family, inputs.flux
     return [check_axiom(R, check_id, family, flux, explicit_sections=inputs.explicit_sections)]
+
+
+def _run_classify(inputs: CheckInputs, check_id: str) -> list[AxiomReport]:
+    return classify(inputs.R, inputs.family, inputs.flux)[1]
 
 
 def _run_strong(inputs: CheckInputs, check_id: str) -> list[AxiomReport]:
@@ -1056,14 +1099,14 @@ def _run_twist(inputs: CheckInputs, check_id: str) -> list[AxiomReport]:
 
 
 CHECKS: dict[str, Check] = {
-    "classify": Check(lambda i, c: classify(i.R, i.family, i.flux)[1], sections=3),
-    "V1": Check(_run_axiom, sections=2, decides="C3"),
-    "V2": Check(_run_axiom, sections=3, decides="C5"),
-    "C1": Check(_run_axiom, sections=3, decides="C1"),
-    "C2": Check(_run_axiom, sections=2, decides="C2"),
-    "C3": Check(_run_axiom, sections=2, decides="C3"),
-    "C4": Check(_run_axiom, sections=0, decides="C4"),
-    "C5": Check(_run_axiom, sections=3, decides="C5"),
+    "classify": Check(_run_classify),
+    "V1": Check(_run_axiom, decides="C3"),
+    "V2": Check(_run_axiom, decides="C5"),
+    "C1": Check(_run_axiom, decides="C1"),
+    "C2": Check(_run_axiom, decides="C2"),
+    "C3": Check(_run_axiom, decides="C3"),
+    "C4": Check(_run_axiom, decides="C4"),
+    "C5": Check(_run_axiom, decides="C5"),
     "derivation": Check(lambda i, c: [check_derivation_condition(i.R, i.family)]),
     "strong-fn": Check(_run_strong, decides="functions"),
     "strong-vec": Check(_run_strong, decides="vectors"),

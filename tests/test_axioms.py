@@ -13,6 +13,7 @@ from doubled_algebroids.algebroid import (
     d_differential,
 )
 from doubled_algebroids.axioms import (
+    CHECKS,
     FAIL,
     PASS,
     RESIDUALS,
@@ -194,6 +195,23 @@ def test_axiom_unknown_id():
 def test_axiom_needs_enough_sections():
     with pytest.raises(ValueError, match="sections"):
         check_axiom(flat(1), "C1", GenericSectionFamily(degree=1, count=2))
+
+
+def test_section_counts_come_from_the_residual_slots():
+    sections = {check_id: check.sections for check_id, check in CHECKS.items() if check.sections}
+    assert sections == {"classify": 3, "V1": 2, "V2": 3, "C1": 3, "C2": 2, "C3": 2, "C5": 3}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_axiom_refuses_inadmissible_explicit_sections(dim):
+    # C2 holds on the flat x-only pair, and its PASS covers admissible data
+    # only.  Probed, this section FAILs C2; proved first, C2 would PASS.
+    x_only = Admissibility.x_only(dim)
+    R = flat(dim, constraint=x_only, function_constraint=x_only)
+    inadmissible = sec(dim, xs=[(1, PolyExpr.dual(1))], xis=[(1, PolyExpr.coord(1))])
+    assert check_axiom(R, "C2", FAM).status == PASS
+    with pytest.raises(ValueError, match="admissibility mask"):
+        check_axiom(R, "C2", FAM, explicit_sections=[inadmissible])
 
 
 # -- derivation condition ----------------------------------------------------------
@@ -679,6 +697,15 @@ def test_generic_functions_respect_function_mask():
     R = flat(2, function_constraint=Admissibility.from_names(["x2"], 2))
     (f,) = generic_functions(R, 1, 2)
     assert f.coord_vars() <= {Var("x", 2)}
+
+
+def test_parameter_count_reserves_the_three_sections_checks_build():
+    # D = 3 at degree 5 with 50 sections uses 9,240 parameters, well within
+    # the budget, so a large section count must not count against it.
+    counts = [
+        parameter_count(3, GenericSectionFamily(degree=5, count=n), None, None) for n in (3, 50)
+    ]
+    assert counts == [9240, 9240]
 
 
 def test_parameter_budget_guard():
