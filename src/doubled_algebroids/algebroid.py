@@ -668,12 +668,27 @@ def _lie_algebroid_residuals(
 def validate_lie_algebroid(A: FrameAlgebroid, degree: int = 2, start: int = 1) -> ValidationReport:
     """Check the Jacobi identity, anchor homomorphism and Leibniz rule.
 
-    All three are checked on generic degree-bounded sections with fresh
-    parameter coefficients; cheap concrete probes run first so failures
-    come with small readable witnesses.  The outcome is recorded on the
-    algebroid.
+    All three are first order in every input, so at ``degree >= 1`` they
+    are proved first on generic degree-1 sections with fresh parameter
+    coefficients, and a passing proof covers every probe and every degree.
+    Only when it fails (or at degree 0) do concrete probes run, so that a
+    failure comes with a small readable witness; if none fails, the witness
+    comes from generic data of ``degree``.  A passing outcome is recorded
+    on the algebroid.
     """
 
+    def generic_inputs(degree: int) -> dict:
+        alloc = _Allocator(start)
+        X, Y, Z = (_generic_vector(A, degree, alloc) for _ in range(3))
+        return {"X": X, "Y": Y, "Z": Z, "f": _generic_poly(A.dim, degree, None, alloc)}
+
+    if degree >= 1:
+        proof_inputs = generic_inputs(1)
+        proof = _lie_algebroid_residuals(A, **proof_inputs)
+        if all(poly.is_zero() for _, poly in proof):
+            report = ValidationReport(ok=True, degree=degree)
+            A.validation = report
+            return report
     probes = _probe_vectors(A)
     f_probe = PolyExpr.coord(1) * PolyExpr.dual(1)
     probe_inputs = (
@@ -687,10 +702,12 @@ def validate_lie_algebroid(A: FrameAlgebroid, degree: int = 2, start: int = 1) -
         if found is not None:
             break
     else:
-        alloc = _Allocator(start)
-        X, Y, Z = (_generic_vector(A, degree, alloc) for _ in range(3))
-        inputs = {"X": X, "Y": Y, "Z": Z, "f": _generic_poly(A.dim, degree, None, alloc)}
-        found = witness(_lie_algebroid_residuals(A, **inputs), inputs)
+        if degree == 1:
+            inputs, residuals = proof_inputs, proof
+        else:
+            inputs = generic_inputs(degree)
+            residuals = _lie_algebroid_residuals(A, **inputs)
+        found = witness(residuals, inputs)
     if found is not None:
         record = found[0]
         return ValidationReport(

@@ -78,21 +78,49 @@ def _generic_poly(dim: int, degree: int, admissibility, alloc: _Allocator) -> Po
 # -- witnesses ------------------------------------------------------------------
 
 
+def _holders(terms: dict) -> tuple[dict[int, list], dict[int, int]]:
+    """Each parameter's monomials, and how many there are."""
+    index: dict[int, list] = {}
+    for mono in terms:
+        for pidx in set(mono[1]):
+            index.setdefault(pidx, []).append(mono)
+    return index, {pidx: len(monos) for pidx, monos in index.items()}
+
+
 def _greedy_param_assignment(poly: PolyExpr) -> tuple[dict[int, int], PolyExpr]:
     """The lexicographically smallest 0/1 parameter assignment under which
     the polynomial stays nonzero (try 0 first for each parameter in index
-    order; fall back to 1 exactly when 0 would kill every monomial)."""
+    order; fall back to 1 exactly when 0 would kill every monomial), and
+    the polynomial under it.
+
+    Setting a parameter to 0 only drops the monomials holding it, so a live
+    count of those per parameter decides each choice and each monomial is
+    dropped once: linear in the size of the polynomial.  Only setting a
+    parameter to 1, when every remaining monomial holds it, rewrites the
+    monomials (``p^2`` terms may merge or cancel) and rebuilds the index.
+    Like ``subs_params``, the result keeps the numerators over 1: the shared
+    denominator is dropped once a parameter is set, which shifts only the
+    witness value.
+    """
+    params = sorted(poly.param_indices())
+    if not params:
+        return {}, poly
+    terms = dict(poly.terms)
+    index, live = _holders(terms)
     assignment: dict[int, int] = {}
-    current = poly
-    for pidx in sorted(current.param_indices()):
-        at_zero = current.subs_params({pidx: 0})
-        if at_zero.is_zero():
-            assignment[pidx] = 1
-            current = current.subs_params({pidx: 1})
-        else:
+    for pidx in params:
+        if live.get(pidx, 0) < len(terms):
             assignment[pidx] = 0
-            current = at_zero
-    return assignment, current
+            for mono in index.get(pidx, ()):
+                if mono in terms:
+                    del terms[mono]
+                    for held in set(mono[1]):
+                        live[held] -= 1
+        else:
+            assignment[pidx] = 1
+            terms = dict(PolyExpr(terms).subs_params({pidx: 1}).terms)
+            index, live = _holders(terms)
+    return assignment, PolyExpr(terms)
 
 
 def _witness_point(poly: PolyExpr) -> tuple[dict[str, str], str]:

@@ -12,6 +12,9 @@ Conventions (flat chart, identity anchors, no structure functions):
   (L_xi X)^k = sum_mu xi_mu dxt(X^k, mu) + X^mu dxt(xi_mu, k)
   (L_X xi)_k = sum_mu X^mu dx(xi_k, mu) + xi_mu dx(X^mu, k)
   <e1,e2>_pm = 1/2 (sum xi1 X2 pm sum xi2 X1)
+
+``greedy_param_assignment`` is the witness search restated as one full
+substitution per parameter, the reference for the engine's linear-time one.
 """
 
 from __future__ import annotations
@@ -240,3 +243,18 @@ def flux_contraction_flat(entries, e1, e2, dim):
         else:
             xi_out[l - dim - 1].append(term)
     return ([poly_sum(p) for p in x_out], [poly_sum(p) for p in xi_out])
+
+
+def greedy_param_assignment(poly: PolyExpr) -> tuple[dict[int, int], PolyExpr]:
+    """For each parameter in index order: 0, unless 0 kills the polynomial."""
+    assignment: dict[int, int] = {}
+    current = poly
+    for pidx in sorted(current.param_indices()):
+        at_zero = current.subs_params({pidx: 0})
+        if at_zero.is_zero():
+            assignment[pidx] = 1
+            current = current.subs_params({pidx: 1})
+        else:
+            assignment[pidx] = 0
+            current = at_zero
+    return assignment, current

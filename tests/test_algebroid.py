@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from doubled_algebroids import algebroid
 from doubled_algebroids.algebroid import (
     E,
     ESTAR,
@@ -9,7 +11,11 @@ from doubled_algebroids.algebroid import (
     FrameAlgebroid,
     ParaComplexStructure,
     SideError,
+    ValidationReport,
     VectorField,
+    _generic_vector,
+    _lie_algebroid_residuals,
+    _probe_vectors,
     algebroid_bracket,
     d_differential,
     interior_product,
@@ -19,6 +25,8 @@ from doubled_algebroids.algebroid import (
     tangent_bracket,
     validate_lie_algebroid,
 )
+from doubled_algebroids.doubled import DoubledRealization
+from doubled_algebroids.generic import _Allocator, _generic_poly, witness
 from doubled_algebroids.poly import PolyExpr, parse_expr
 
 ZERO = PolyExpr.zero()
@@ -49,8 +57,6 @@ def rand_vector(rng, A, deg=2):
 
 def rand_form(rng, A, degree):
     comps = {}
-    import itertools
-
     for idx in itertools.combinations(range(1, A.dim + 1), degree):
         if rng.random() < 0.8:
             comps[idx] = parse_expr(
@@ -207,18 +213,67 @@ def test_affine_action_algebroid_validates():
     assert validate_lie_algebroid(affine_action_algebroid(), degree=2).ok
 
 
+def probes_first_validation(A, degree):
+    """``validate_lie_algebroid`` restated probes first: every probe triple,
+    then generic data of ``degree``."""
+    probes = _probe_vectors(A)
+    f = PolyExpr.coord(1) * PolyExpr.dual(1)
+    for X, Y, Z in itertools.product(probes[:4], probes, probes[:3]):
+        inputs = {"X": X, "Y": Y, "Z": Z, "f": f}
+        found = witness(_lie_algebroid_residuals(A, **inputs), inputs)
+        if found is not None:
+            break
+    else:
+        alloc = _Allocator(1)
+        X, Y, Z = (_generic_vector(A, degree, alloc) for _ in range(3))
+        inputs = {"X": X, "Y": Y, "Z": Z, "f": _generic_poly(A.dim, degree, None, alloc)}
+        found = witness(_lie_algebroid_residuals(A, **inputs), inputs)
+    if found is None:
+        return ValidationReport(ok=True, degree=degree)
+    record = found[0]
+    failed = record["component"].split("[")[0]
+    return ValidationReport(ok=False, failed=failed, witness=record, degree=degree)
+
+
+VALIDATION_CASES = {
+    "coordinate": lambda: coord(2),
+    "heisenberg": lambda: FrameAlgebroid.zero_anchor(E, 3, {(1, 2, 3): ONE}),
+    "affine-action": affine_action_algebroid,
+    "jacobi-failing": lambda: FrameAlgebroid.zero_anchor(E, 3, {(1, 2, 1): ONE, (2, 3, 2): ONE}),
+    "anchor-failing": lambda: FrameAlgebroid(
+        E, 2, [[ONE, ZERO], [ZERO, PolyExpr.coord(1)], [ZERO, ZERO], [ZERO, ZERO]]
+    ),
+}
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("case", sorted(VALIDATION_CASES))
+def test_validation_reports_what_probing_first_reports(case, degree):
+    expected = probes_first_validation(VALIDATION_CASES[case](), degree)
+    assert validate_lie_algebroid(VALIDATION_CASES[case](), degree=degree) == expected
+    assert expected.ok == (case not in ("jacobi-failing", "anchor-failing"))
+
+
+def test_a_valid_algebroid_is_never_probed(monkeypatch):
+    def untouchable(A):
+        raise AssertionError("a valid algebroid was probed")
+
+    monkeypatch.setattr(algebroid, "_probe_vectors", untouchable)
+    for make in (VALIDATION_CASES[case] for case in ("coordinate", "heisenberg", "affine-action")):
+        for degree in (1, 2):
+            assert validate_lie_algebroid(make(), degree=degree).ok
+    R = DoubledRealization.flat(3)
+    assert R.E.validation.ok and R.Estar.validation.ok
+
+
 def test_differential_squares_to_zero_generic_forms():
     # generic parameter-coefficient forms on validated algebroids with
     # constant, vanishing, and coordinate-dependent anchors
-    from doubled_algebroids.generic import _Allocator, _generic_poly
-
     fixtures = [
         coord(2),
         FrameAlgebroid.zero_anchor(E, 3, {(1, 2, 3): ONE}),
         affine_action_algebroid(),
     ]
-    import itertools
-
     for A in fixtures:
         alloc = _Allocator(1)
         for degree in (0, 1, 2):
