@@ -18,17 +18,20 @@ frame bracket, interior products contract the first slot, and the Lie
 derivative is the contraction/derivative anticommutator.  The bracket of
 a vector with a multivector of the same algebroid (the degree <= 2 slice
 of the Schouten bracket) is implemented separately in ``schouten``.
+``validate_lie_algebroid`` decides the defining identities through
+``generic.decide``, as the axiom checks do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Optional, Sequence
+from functools import partial
+from itertools import combinations, product
+from typing import Iterator, Optional, Sequence
 
-from .generic import _Allocator, _generic_poly, witness
-from .poly import DoubledIndex, PolyExpr, poly_sum
+from .generic import _Allocator, _generic_poly, decide, witness
+from .poly import DoubledIndex, PolyExpr, coordinate_vars, poly_sum
 
 __all__ = [
     "E",
@@ -614,10 +617,9 @@ class ValidationReport:
         return self.ok
 
 
-def _generic_vector(A: FrameAlgebroid, degree: int, alloc: _Allocator) -> VectorField:
-    return VectorField(
-        A.side, tuple(_generic_poly(A.dim, degree, None, alloc) for _ in range(A.dim))
-    )
+def _generic_vector(A: FrameAlgebroid, degree: int, alloc: _Allocator, admissibility=None) -> VectorField:
+    """A generic section of ``A``; admissibility None allows every coordinate."""
+    return VectorField(A.side, tuple(_generic_poly(A.dim, degree, admissibility, alloc) for _ in range(A.dim)))
 
 
 def _probe_vectors(A: FrameAlgebroid) -> list[VectorField]:
@@ -665,54 +667,36 @@ def _lie_algebroid_residuals(
     )
 
 
-def validate_lie_algebroid(A: FrameAlgebroid, degree: int = 2, start: int = 1) -> ValidationReport:
+def validate_lie_algebroid(A: FrameAlgebroid, degree: int = 2) -> ValidationReport:
     """Check the Jacobi identity, anchor homomorphism and Leibniz rule.
 
-    All three are first order in every input, so at ``degree >= 1`` they
-    are proved first on generic degree-1 sections with fresh parameter
-    coefficients, and a passing proof covers every probe and every degree.
-    Only when it fails (or at degree 0) do concrete probes run, so that a
-    failure comes with a small readable witness; if none fails, the witness
-    comes from generic data of ``degree``.  A passing outcome is recorded
-    on the algebroid.
+    ``generic.decide`` decides them as one residual of order 1 in every
+    input, so a valid algebroid is proved on degree-1 data and never
+    probed.  A passing outcome is recorded on the algebroid.
     """
 
-    def generic_inputs(degree: int) -> dict:
-        alloc = _Allocator(start)
+    def generic_inputs(degree: int, alloc: _Allocator) -> dict:
         X, Y, Z = (_generic_vector(A, degree, alloc) for _ in range(3))
         return {"X": X, "Y": Y, "Z": Z, "f": _generic_poly(A.dim, degree, None, alloc)}
 
-    if degree >= 1:
-        proof_inputs = generic_inputs(1)
-        proof = _lie_algebroid_residuals(A, **proof_inputs)
-        if all(poly.is_zero() for _, poly in proof):
-            report = ValidationReport(ok=True, degree=degree)
-            A.validation = report
-            return report
-    probes = _probe_vectors(A)
-    f_probe = PolyExpr.coord(1) * PolyExpr.dual(1)
-    probe_inputs = (
-        {"X": X, "Y": Y, "Z": Z, "f": f_probe}
-        for X in probes[:4]
-        for Y in probes
-        for Z in probes[:3]
+    def probes() -> Iterator[dict]:
+        vectors = _probe_vectors(A)
+        f = PolyExpr.coord(1) * PolyExpr.dual(1)
+        for X, Y, Z in product(vectors[:4], vectors, vectors[:3]):
+            yield {"X": X, "Y": Y, "Z": Z, "f": f}
+
+    decided = decide(
+        partial(_lie_algebroid_residuals, A),
+        order=1,
+        degree=degree,
+        start=1,
+        generic_inputs=generic_inputs,
+        probes=probes,
+        coordinates=dict.fromkeys(("X", "Y", "Z", "f"), coordinate_vars(A.dim)),
     )
-    for inputs in probe_inputs:
-        found = witness(_lie_algebroid_residuals(A, **inputs), inputs)
-        if found is not None:
-            break
-    else:
-        if degree == 1:
-            inputs, residuals = proof_inputs, proof
-        else:
-            inputs = generic_inputs(degree)
-            residuals = _lie_algebroid_residuals(A, **inputs)
-        found = witness(residuals, inputs)
-    if found is not None:
-        record = found[0]
-        return ValidationReport(
-            ok=False, failed=record["component"].split("[")[0], witness=record, degree=degree
-        )
-    report = ValidationReport(ok=True, degree=degree)
-    A.validation = report
-    return report
+    found = witness(*decided)
+    if found is None:
+        A.validation = ValidationReport(ok=True, degree=degree)
+        return A.validation
+    record = found[0]
+    return ValidationReport(ok=False, failed=record["component"].split("[")[0], witness=record, degree=degree)

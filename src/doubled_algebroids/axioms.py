@@ -12,15 +12,9 @@ degree covers all admissible polynomial data of any degree.  FAIL always
 carries a witness: a concrete substitution under which some residual
 component evaluates to a nonzero rational.
 
-A first-order check at family degree >= 1 is proved first, on degree-1
-data: once that passes, no admissible probe can fail.  Every other check,
-and a first-order check whose proof fails, probes a small deterministic
-battery of concrete inputs, so failures come with small readable
-counterexamples.  The proof runs at degree ``min(order, family degree)``,
-except that a second-order residual that a certificate on generic
-constant data shows to be first order in every input is proved at degree
-1.  Only when the proof fails are the inputs rebuilt at the family degree,
-so witnesses come from full-degree data.
+``_decide`` hands a ``RESIDUALS`` entry to ``generic.decide``, which proves
+it on generic data of its jet degree and probes small concrete inputs, so
+that failures come with readable counterexamples.
 """
 
 from __future__ import annotations
@@ -36,6 +30,7 @@ from .algebroid import (
     ESTAR,
     FormField,
     VectorField,
+    _generic_vector,
     _sorted_with_sign,
     algebroid_bracket,
     d_differential,
@@ -59,7 +54,7 @@ from .doubled import (
     rho_V_matrix,
     twisted_c_bracket,
 )
-from .generic import Residuals, _Allocator, _generic_poly, monomial_count, witness
+from .generic import Residuals, _Allocator, _generic_poly, decide, monomial_count, witness
 from .poly import (
     KIND_X,
     KIND_XT,
@@ -150,12 +145,9 @@ class AxiomReport:
         }
 
 
-def _generic_part(R: DoubledRealization, side: str, degree: int, alloc: _Allocator) -> VectorField:
-    return VectorField(side, tuple(_generic_poly(R.dim, degree, R.constraint, alloc) for _ in range(R.dim)))
-
-
 def _generic_section(R: DoubledRealization, degree: int, alloc: _Allocator) -> DoubledSection:
-    return DoubledSection(_generic_part(R, E, degree, alloc), _generic_part(R, ESTAR, degree, alloc))
+    X, xi = (_generic_vector(A, degree, alloc, R.constraint) for A in (R.E, R.Estar))
+    return DoubledSection(X, xi)
 
 
 def generic_sections(family: GenericSectionFamily, R: DoubledRealization) -> list[DoubledSection]:
@@ -176,16 +168,19 @@ def generic_functions(
 def parameter_count(
     dim: int, family: GenericSectionFamily, constraint: Admissibility, function_constraint: Admissibility
 ) -> int:
-    """The highest parameter ordinal any check may allocate for ``family``.
+    """The highest parameter ordinal any check, or the validation of the
+    algebroids, may allocate for ``family``.
 
     No check builds more than three generic sections (the ``RESIDUALS``
     entries and ``quadratic_lie_algebra_check``) or more than two test
     functions (of degree at least 1 in the quadratic check), whatever
-    ``family.count`` is, so the count reserves three sections.
+    ``family.count`` is, so the count reserves three sections.  A new
+    ``DoubledRealization`` validates each algebroid on unmasked degree-1 data.
     """
     sections = 3 * 2 * dim * monomial_count(dim, family.degree, constraint)
     functions = 2 * monomial_count(dim, max(1, family.degree), function_constraint)
-    return family.start - 1 + sections + functions
+    validation = (3 * dim + 1) * monomial_count(dim, 1, None)
+    return max(family.start - 1 + sections + functions, validation)
 
 
 # -- deciding a check -----------------------------------------------------------
@@ -201,55 +196,6 @@ def _report(
         return AxiomReport(check_id, PASS, degree=degree, detail=detail)
     record, residual = found
     return AxiomReport(check_id, FAIL, witness=record, residual=residual, degree=degree, detail=detail)
-
-
-def _first_order_in_every_input(
-    residual_fn: Callable[..., Residuals],
-    inputs: dict,
-    coordinates: dict[str, list[Var]],
-    alloc: _Allocator,
-) -> bool:
-    """True when, for every input u, each 2-fold commutator of the residual
-    with multiplication of u by two of its admissible coordinates vanishes
-    on ``inputs``, which are generic constants.
-
-    One fresh parameter t_ij weights each pair c_i, c_j (i <= j).  With
-    q = sum t_ij c_i c_j the weighted sum of the commutators is
-    P(q u) - sum_i c_i P((dq/dc_i) u) + q P(u), which vanishes exactly when
-    each commutator does, so n coordinates cost n + 2 residual evaluations.
-    A component that does not involve u but is nonzero on the constants
-    makes the sum nonzero too; the residual then fails on generic data
-    anyway, so declining the certificate leaves the report unchanged.
-
-    The weights come from ``alloc`` after the constant inputs and stay within
-    ``parameter_count``: the family degree is at least 2 here, and one
-    component of u takes 1 + n + n(n+1)/2 parameters at degree 2 but one at
-    degree 0, which leaves room for the n(n+1)/2 weights of u.
-    """
-    base = residual_fn(**inputs)
-    for name, variables in coordinates.items():
-        coords = [PolyExpr.variable(v) for v in variables]
-        quadratic, slopes = [], [[] for _ in coords]
-        for i, j in itertools.combinations_with_replacement(range(len(coords)), 2):
-            t = PolyExpr.param(alloc.fresh())
-            quadratic.append(t * coords[i] * coords[j])
-            slopes[i].append(t * coords[j])
-            slopes[j].append(t * coords[i])
-        q, u = poly_sum(quadratic), inputs[name]
-
-        def at(factor: PolyExpr) -> Residuals:
-            scaled = u * factor if isinstance(u, PolyExpr) else u.scaled(factor)
-            return residual_fn(**{**inputs, name: scaled})
-
-        weighted = [(at(q), PolyExpr.one()), (base, q)]
-        weighted += [(at(poly_sum(slope)), -c) for c, slope in zip(coords, slopes)]
-        sums: dict[str, list[PolyExpr]] = {}
-        for residuals, factor in weighted:
-            for label, poly in residuals:
-                sums.setdefault(label, []).append(poly * factor)
-        if any(not poly_sum(pieces).is_zero() for pieces in sums.values()):
-            return False
-    return True
 
 
 def _slot_coordinates(R: DoubledRealization, slots: Sequence[tuple[str, str]]) -> dict[str, list[Var]]:
@@ -271,24 +217,8 @@ def _generic_inputs(
         elif kind == "section":
             inputs[name] = _generic_section(R, degree, alloc)
         else:
-            inputs[name] = _generic_part(R, kind, degree, alloc)
+            inputs[name] = _generic_vector(R.E if kind == E else R.Estar, degree, alloc, R.constraint)
     return inputs
-
-
-def _jet_proof(
-    R: DoubledRealization, family: GenericSectionFamily, entry: Residual, residual_fn: Callable
-) -> tuple[int, Residuals, dict]:
-    """The jet degree, ``min(order, family.degree)`` or 1 for a certified
-    order-2 residual, and the residual on generic inputs of that degree."""
-    jet = min(entry.order, family.degree)
-    if jet == 2:
-        alloc = _Allocator(family.start)
-        constants = _generic_inputs(R, entry.slots, 0, alloc)
-        coordinates = _slot_coordinates(R, entry.slots)
-        if _first_order_in_every_input(residual_fn, constants, coordinates, alloc):
-            jet = 1
-    inputs = _generic_inputs(R, entry.slots, jet, _Allocator(family.start))
-    return jet, residual_fn(**inputs), inputs
 
 
 def _decide(
@@ -299,37 +229,26 @@ def _decide(
     explicit_sections: Sequence[DoubledSection] = (),
     detail: str = "",
 ) -> AxiomReport:
-    """Decide the ``RESIDUALS`` entry ``check_id``: the first failing probe
-    (``explicit_sections`` first, then the batteries), else the proof.  An
-    order-1 entry at family degree >= 1 is proved before it is probed, as no
-    admissible probe can fail once its degree-1 proof passes.  The others
-    probe first: their proof needs the certificate, which costs more than
-    the probes that find their failures.  A failed proof below the family
-    degree is redone at the family degree for the witness."""
+    """Decide the ``RESIDUALS`` entry ``check_id`` by ``generic.decide``; its
+    probes are ``explicit_sections`` followed by the batteries."""
     entry = RESIDUALS[check_id]
-    residual_fn = partial(entry.residual, R, flux)
-    degree = family.degree
-    proof_first = entry.order == 1 <= degree
-    if proof_first:
-        jet, residuals, inputs = _jet_proof(R, family, entry, residual_fn)
-        if all(poly.is_zero() for _, poly in residuals):
-            return AxiomReport(check_id, PASS, degree=degree, detail=detail)
     names = [name for name, _ in entry.slots]
-    sections = list(explicit_sections) + _battery_sections(R)
-    functions = _battery_functions(R, R.function_constraint)
-    for values in entry.probes(R, sections, functions):
-        probe = dict(zip(names, values))
-        report = _report(check_id, residual_fn(**probe), probe, degree, detail)
-        if not report.passed():
-            return report
-    if not proof_first:
-        jet, residuals, inputs = _jet_proof(R, family, entry, residual_fn)
-    if jet < degree:
-        if all(poly.is_zero() for _, poly in residuals):
-            return AxiomReport(check_id, PASS, degree=degree, detail=detail)
-        inputs = _generic_inputs(R, entry.slots, degree, _Allocator(family.start))
-        residuals = residual_fn(**inputs)
-    return _report(check_id, residuals, inputs, degree, detail)
+
+    def probes() -> Iterable[dict]:
+        sections = list(explicit_sections) + _battery_sections(R)
+        functions = _battery_functions(R, R.function_constraint)
+        return (dict(zip(names, values)) for values in entry.probes(R, sections, functions))
+
+    residuals, inputs = decide(
+        partial(entry.residual, R, flux),
+        entry.order,
+        family.degree,
+        family.start,
+        partial(_generic_inputs, R, entry.slots),
+        probes,
+        _slot_coordinates(R, entry.slots),
+    )
+    return _report(check_id, residuals, inputs, family.degree, detail)
 
 
 # -- probe batteries ----------------------------------------------------------
@@ -917,12 +836,12 @@ _F, _G = ("f", "function"), ("g", "function")
 # data of any degree.
 #
 # An order-2 residual may still be first order in every input, and then
-# degree-1 data decides it.  ``_first_order_in_every_input`` certifies this:
-# a 2-fold commutator in one input of an operator of total order 2 has total
-# order 0, so it is tensorial in every input (its value at a point depends
-# only on the values of the inputs there) and generic constant data decides
-# it.  When every such commutator vanishes, the residual is first order in
-# each input.
+# degree-1 data decides it.  ``generic._first_order_in_every_input``
+# certifies this: a 2-fold commutator in one input of an operator of total
+# order 2 has total order 0, so it is tensorial in every input (its value at
+# a point depends only on the values of the inputs there) and generic
+# constant data decides it.  When every such commutator vanishes, the
+# residual is first order in each input.
 RESIDUALS: dict[str, Residual] = {
     "C1": Residual(2, _c1_residual, (_E1, _E2, _E3), _cyclic_triples),
     "C2": Residual(1, _anchor_residual, (_E1, _E2), lambda R, s, fs: itertools.product(s, repeat=2)),

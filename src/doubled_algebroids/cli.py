@@ -298,7 +298,7 @@ def run(scenario: Scenario) -> Report:
     if last > PARAMETER_BUDGET:
         raise ScenarioError(
             f"generic data would need parameter ordinals up to {last}, over the budget of "
-            f"{PARAMETER_BUDGET}; lower degree, sections or seed"
+            f"{PARAMETER_BUDGET}; lower dimension, degree, sections or seed"
         )
     realization = scenario.realization()
     for s, sec in enumerate(scenario.explicit_sections):

@@ -1,26 +1,28 @@
-"""Generic test data and counterexample witnesses.
+"""Generic test data, the one decision procedure, and witnesses.
 
 Generic data puts a fresh parameter coefficient on every admissible
 monomial of every component, so a residual that vanishes on it vanishes
-for all data of that degree.  A witness makes a nonzero residual concrete:
-a 0/1 parameter assignment that keeps it nonzero, the inputs under that
-assignment, and a small integer point where it evaluates to a nonzero
-rational.
+for all data of that degree.  ``decide`` proves a residual on generic data
+of its jet degree, probes concrete inputs, and rebuilds generic data at
+the full degree only for a witness.  A witness makes a nonzero residual
+concrete: a 0/1 parameter assignment that keeps it nonzero, the inputs
+under that assignment, and a small integer point where it evaluates to a
+nonzero rational.
 
-Inputs are ``PolyExpr`` values or sections offering the same
-``param_indices``/``subs_params`` methods plus ``to_json``; admissibility
-is any object with ``allowed_vars(dim)``, or None for every coordinate.
+Inputs are ``PolyExpr`` values or sections with the same ``param_indices``,
+``subs_params`` and ``scaled`` methods plus ``to_json``; admissibility is
+any object with ``allowed_vars(dim)``, or None for every coordinate.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import comb
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
-from .poly import PolyExpr, Var, coordinate_vars
+from .poly import PolyExpr, Var, coordinate_vars, poly_sum
 
-__all__ = ["PARAMETER_BUDGET", "Residuals", "monomial_count", "witness"]
+__all__ = ["PARAMETER_BUDGET", "Residuals", "decide", "monomial_count", "witness"]
 
 # The highest parameter ordinal generic data may use.
 PARAMETER_BUDGET = 100_000
@@ -73,6 +75,106 @@ def _generic_poly(dim: int, degree: int, admissibility, alloc: _Allocator) -> Po
     for key in _admissible_monomials(dim, degree, admissibility):
         terms[(key, (alloc.fresh(),))] = 1
     return PolyExpr(terms)
+
+
+# -- deciding a residual ----------------------------------------------------------
+
+
+def _vanishes(residuals: Residuals) -> bool:
+    return all(poly.is_zero() for _, poly in residuals)
+
+
+def _first_order_in_every_input(
+    residual: Callable[..., Residuals],
+    inputs: dict,
+    coordinates: dict[str, list[Var]],
+    alloc: _Allocator,
+) -> bool:
+    """True when, for every input u, each 2-fold commutator of the residual
+    with multiplication of u by two of its admissible coordinates vanishes
+    on ``inputs``, which are generic constants.
+
+    One fresh parameter t_ij weights each pair c_i, c_j (i <= j).  With
+    q = sum t_ij c_i c_j the weighted sum of the commutators is
+    P(q u) - sum_i c_i P((dq/dc_i) u) + q P(u), which vanishes exactly when
+    each commutator does, so n coordinates cost n + 2 residual evaluations.
+    A component that does not involve u but is nonzero on the constants
+    makes the sum nonzero too; the residual then fails on generic data
+    anyway, so declining the certificate leaves the report unchanged.
+
+    The weights come from ``alloc`` after the constant inputs and stay within
+    ``axioms.parameter_count``: the family degree is at least 2 here, and
+    one component of u takes 1 + n + n(n+1)/2 parameters at degree 2 but one
+    at degree 0, which leaves room for the n(n+1)/2 weights of u.
+    """
+    base = residual(**inputs)
+    for name, variables in coordinates.items():
+        coords = [PolyExpr.variable(v) for v in variables]
+        quadratic, slopes = [], [[] for _ in coords]
+        for i, j in itertools.combinations_with_replacement(range(len(coords)), 2):
+            t = PolyExpr.param(alloc.fresh())
+            quadratic.append(t * coords[i] * coords[j])
+            slopes[i].append(t * coords[j])
+            slopes[j].append(t * coords[i])
+        q, u = poly_sum(quadratic), inputs[name]
+
+        def at(factor: PolyExpr) -> Residuals:
+            scaled = u * factor if isinstance(u, PolyExpr) else u.scaled(factor)
+            return residual(**{**inputs, name: scaled})
+
+        weighted = [(at(q), PolyExpr.one()), (base, q)]
+        weighted += [(at(poly_sum(slope)), -c) for c, slope in zip(coords, slopes)]
+        sums: dict[str, list[PolyExpr]] = {}
+        for residuals, factor in weighted:
+            for label, poly in residuals:
+                sums.setdefault(label, []).append(poly * factor)
+        if any(not poly_sum(pieces).is_zero() for pieces in sums.values()):
+            return False
+    return True
+
+
+def decide(
+    residual: Callable[..., Residuals],
+    order: int,
+    degree: int,
+    start: int,
+    generic_inputs: Callable[[int, _Allocator], dict],
+    probes: Callable[[], Iterable[dict]],
+    coordinates: dict[str, list[Var]],
+) -> tuple[Residuals, dict]:
+    """The residuals and inputs that decide whether ``residual``, of total
+    order ``order``, vanishes on all admissible data: all zero when it does,
+    else ``witness`` builds the counterexample from them.
+
+    The proof runs on ``generic_inputs(jet, _Allocator(start))`` at the jet
+    degree ``min(order, degree)``, or 1 for an order-2 residual that
+    ``_first_order_in_every_input`` certifies on the ``coordinates`` of each
+    input.  An order-1 residual at degree >= 1 is proved first, as no
+    admissible probe can fail once that passes; the others run ``probes()``
+    first, as their certificate costs more than the probes that find their
+    failures.  A failed proof below ``degree`` is redone there for a witness.
+    """
+
+    def proof(jet: int) -> tuple[Residuals, dict]:
+        inputs = generic_inputs(jet, _Allocator(start))
+        return residual(**inputs), inputs
+
+    jet = min(order, degree)
+    decided = proof(jet) if order == 1 <= degree else None
+    if decided is None or not _vanishes(decided[0]):
+        for probe in probes():
+            probed = residual(**probe)
+            if not _vanishes(probed):
+                return probed, probe
+    if decided is None:
+        if jet == 2:
+            alloc = _Allocator(start)
+            if _first_order_in_every_input(residual, generic_inputs(0, alloc), coordinates, alloc):
+                jet = 1
+        decided = proof(jet)
+    if jet < degree and not _vanishes(decided[0]):
+        return proof(degree)
+    return decided
 
 
 # -- witnesses ------------------------------------------------------------------

@@ -230,12 +230,6 @@ class PolyExpr:
         c = self.terms[_ONE_MONO]
         return c if self.den == 1 else Fraction(c, self.den)
 
-    def coefficient(self, mono: Monomial) -> Rational:
-        c = self.terms.get(mono, 0)
-        if not c:
-            return 0
-        return c if self.den == 1 else Fraction(c, self.den)
-
     def total_degree(self) -> int:
         best = 0
         for (key, params) in self.terms:
@@ -444,7 +438,7 @@ class PolyExpr:
                 out[mono] = acc
             elif mono in out:
                 del out[mono]
-        return _from_fractions(out, self.den)
+        return _from_fractions(out)
 
     def subs_coords(self, assignment: dict[Var, Rational]) -> "PolyExpr":
         """Substitute rational values for some coordinate variables."""
@@ -469,7 +463,7 @@ class PolyExpr:
                 out[mono] = acc
             elif mono in out:
                 del out[mono]
-        return _from_fractions(out, self.den)
+        return _from_fractions(out)
 
     # -- printing ----------------------------------------------------------
 
@@ -521,7 +515,7 @@ def _make(terms: dict[Monomial, int], den: int) -> PolyExpr:
     return PolyExpr({mono: c // g for mono, c in terms.items()}, den // g)
 
 
-def _from_fractions(frac_terms: dict[Monomial, Fraction], den_hint: int) -> PolyExpr:
+def _from_fractions(frac_terms: dict[Monomial, Fraction]) -> PolyExpr:
     """Build canonical form from exact fractional coefficients."""
     if not frac_terms:
         return _ZERO

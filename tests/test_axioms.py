@@ -759,6 +759,23 @@ def test_decide_allocates_within_the_parameter_budget(check_id, mask, degree, mo
     assert max(highest) <= parameter_count(2, family, R.constraint, R.function_constraint)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_validation_allocates_within_the_parameter_budget(dim, monkeypatch):
+    # Building a realization validates both algebroids on unmasked data,
+    # which parameter_count must cover even when the checks need less.
+    highest, fresh = [], _Allocator.fresh
+
+    def recorded(alloc):
+        highest.append(fresh(alloc))
+        return highest[-1]
+
+    monkeypatch.setattr(_Allocator, "fresh", recorded)
+    mask = Admissibility.x_only(dim)
+    R = flat(dim, constraint=mask, function_constraint=mask)
+    family = GenericSectionFamily(degree=0)
+    assert max(highest) == parameter_count(dim, family, R.constraint, R.function_constraint)
+
+
 def test_generic_witnesses_do_not_depend_on_the_section_count(monkeypatch):
     # With the batteries empty, each check is decided, and its witness
     # built, on generic data; a count above what a check uses changes nothing.

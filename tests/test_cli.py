@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -279,6 +280,27 @@ def test_main_rejects_bad_input_with_scenario_error(tmp_path, capsys, overrides,
     assert message in captured.err
 
 
+def test_validation_counts_against_the_parameter_budget(tmp_path, capsys):
+    # At degree 0 the checks need few parameters, but validating the two
+    # algebroids of a D = 130 chart takes 3 * 130 + 1 unmasked degree-1
+    # components of 261 parameters each, 102,051 in all.
+    dim = 130
+    scenario = minimal_scenario(
+        dimension=dim,
+        degree=0,
+        algebroid_E={"anchor": flat_anchors(dim, 0), "C": []},
+        algebroid_Estar={"anchor": flat_anchors(dim, dim), "C": []},
+        checks=["anchor-antisym"],
+    )
+    scenario_path = tmp_path / "s.json"
+    scenario_path.write_text(json.dumps(scenario), encoding="utf-8")
+    assert main(["run", str(scenario_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "up to 102051, over the budget" in captured.err
+
+
 def test_main_reports_unwritable_out_path(tmp_path, capsys):
     scenario_path = tmp_path / "s.json"
     scenario_path.write_text(json.dumps(minimal_scenario()), encoding="utf-8")
@@ -337,10 +359,14 @@ def test_twist_conditions_run_once_per_run(monkeypatch):
 def test_console_entry_point(tmp_path):
     scenario_path = tmp_path / "s.json"
     scenario_path.write_text(json.dumps(minimal_scenario()), encoding="utf-8")
+    # The child imports the package these tests import, installed or not.
+    inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    paths = [str(Path(axioms.__file__).parents[1]), *filter(None, inherited)]
     result = subprocess.run(
         [sys.executable, "-m", "doubled_algebroids.cli", "run", str(scenario_path)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
     )
     assert result.returncode == 0
     assert "classification: Vaisman" in result.stdout

@@ -21,14 +21,13 @@ from doubled_algebroids.axioms import (
     _battery_functions,
     _battery_sections,
     _decide,
-    _first_order_in_every_input,
     _generic_inputs,
     _report,
     _slot_coordinates,
 )
 from doubled_algebroids.cli import load_scenario
 from doubled_algebroids.doubled import Admissibility, DoubledRealization, DoubledSection, FluxTensor
-from doubled_algebroids.generic import _Allocator
+from doubled_algebroids.generic import _Allocator, _first_order_in_every_input
 from doubled_algebroids.poly import PolyExpr
 
 HTWIST = load_scenario(Path(__file__).parent / "fixtures" / "scenarios" / "htwist-closed-d3.json")

@@ -60,7 +60,6 @@ from doubled_algebroids.axioms import (
     GenericSectionFamily,
     Residual,
     _decide,
-    _first_order_in_every_input,
     _generic_inputs,
     _jac_f_condition_residual,
     _report,
@@ -78,7 +77,7 @@ from doubled_algebroids.doubled import (
     rho_V_dot,
     twisted_c_bracket,
 )
-from doubled_algebroids.generic import _Allocator, _generic_poly
+from doubled_algebroids.generic import _Allocator, _first_order_in_every_input, _generic_poly
 from doubled_algebroids.poly import KIND_X, DoubledIndex, PolyExpr, coordinate_vars, poly_sum
 
 ZERO = PolyExpr.zero()
