@@ -94,38 +94,31 @@ def _first_order_in_every_input(
     with multiplication of u by two of its admissible coordinates vanishes
     on ``inputs``, which are generic constants.
 
-    One fresh parameter t_ij weights each pair c_i, c_j (i <= j).  With
-    q = sum t_ij c_i c_j the weighted sum of the commutators is
-    P(q u) - sum_i c_i P((dq/dc_i) u) + q P(u), which vanishes exactly when
-    each commutator does, so n coordinates cost n + 2 residual evaluations.
-    A component that does not involve u but is nonzero on the constants
-    makes the sum nonzero too; the residual then fails on generic data
-    anyway, so declining the certificate leaves the report unchanged.
+    One fresh weight s_i per coordinate c_i gives the linear form
+    l = sum_i s_i c_i.  Multiplications commute, so
+    P(l^2 u) - 2 l P(l u) + l^2 P(u) = sum_ij s_i s_j [[P, c_i], c_j](u),
+    which in characteristic 0 vanishes exactly when each commutator does:
+    k inputs cost 1 + 2k residual evaluations.  A component c that does not
+    involve u but is nonzero on the constants adds c(1 - l)^2 and makes the
+    sum nonzero too; the residual then fails on generic data anyway, so
+    declining the certificate leaves the report unchanged.
 
-    The weights come from ``alloc`` after the constant inputs and stay within
-    ``axioms.parameter_count``: the family degree is at least 2 here, and
-    one component of u takes 1 + n + n(n+1)/2 parameters at degree 2 but one
-    at degree 0, which leaves room for the n(n+1)/2 weights of u.
+    The weights come from ``alloc`` after the constant inputs.  The family
+    degree is at least 2 here, and ``axioms.parameter_count`` reserves each
+    component of u at least 1 + n parameters at degree 2 where degree 0
+    takes one, so the n weights of u always fit.
     """
     base = residual(**inputs)
     for name, variables in coordinates.items():
-        coords = [PolyExpr.variable(v) for v in variables]
-        quadratic, slopes = [], [[] for _ in coords]
-        for i, j in itertools.combinations_with_replacement(range(len(coords)), 2):
-            t = PolyExpr.param(alloc.fresh())
-            quadratic.append(t * coords[i] * coords[j])
-            slopes[i].append(t * coords[j])
-            slopes[j].append(t * coords[i])
-        q, u = poly_sum(quadratic), inputs[name]
+        form = poly_sum([PolyExpr.param(alloc.fresh()) * PolyExpr.variable(v) for v in variables])
+        square, u = form * form, inputs[name]
 
         def at(factor: PolyExpr) -> Residuals:
             scaled = u * factor if isinstance(u, PolyExpr) else u.scaled(factor)
             return residual(**{**inputs, name: scaled})
 
-        weighted = [(at(q), PolyExpr.one()), (base, q)]
-        weighted += [(at(poly_sum(slope)), -c) for c, slope in zip(coords, slopes)]
         sums: dict[str, list[PolyExpr]] = {}
-        for residuals, factor in weighted:
+        for residuals, factor in ((at(square), PolyExpr.one()), (at(form), form * -2), (base, square)):
             for label, poly in residuals:
                 sums.setdefault(label, []).append(poly * factor)
         if any(not poly_sum(pieces).is_zero() for pieces in sums.values()):

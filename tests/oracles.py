@@ -15,10 +15,14 @@ Conventions (flat chart, identity anchors, no structure functions):
 
 ``greedy_param_assignment`` is the witness search restated as one full
 substitution per parameter, the reference for the engine's linear-time one.
+``pairwise_certificate`` is the total-order certificate restated with one
+weight per pair of coordinates, the reference for the engine's
+one-linear-form polarization.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from doubled_algebroids.poly import DoubledIndex, PolyExpr, poly_sum
@@ -258,3 +262,38 @@ def greedy_param_assignment(poly: PolyExpr) -> tuple[dict[int, int], PolyExpr]:
             assignment[pidx] = 0
             current = at_zero
     return assignment, current
+
+
+def pairwise_certificate(residual, inputs, coordinates, alloc) -> bool:
+    """True when, for every input u, each 2-fold commutator of the residual
+    with multiplication of u by two of its admissible coordinates vanishes
+    on the constant ``inputs``.
+
+    One fresh weight t_ij per pair c_i, c_j (i <= j) and q = sum t_ij c_i c_j:
+    P(q u) - sum_i c_i P((dq/dc_i) u) + q P(u) = sum t_ij [[P, c_i], c_j](u),
+    at n + 1 evaluations and n(n+1)/2 weights per input of n coordinates.
+    """
+    base = residual(**inputs)
+    for name, variables in coordinates.items():
+        coords = [PolyExpr.variable(v) for v in variables]
+        quadratic, slopes = [], [[] for _ in coords]
+        for i, j in itertools.combinations_with_replacement(range(len(coords)), 2):
+            t = PolyExpr.param(alloc.fresh())
+            quadratic.append(t * coords[i] * coords[j])
+            slopes[i].append(t * coords[j])
+            slopes[j].append(t * coords[i])
+        q, u = poly_sum(quadratic), inputs[name]
+
+        def at(factor):
+            scaled = u * factor if isinstance(u, PolyExpr) else u.scaled(factor)
+            return residual(**{**inputs, name: scaled})
+
+        weighted = [(at(q), PolyExpr.one()), (base, q)]
+        weighted += [(at(poly_sum(slope)), -c) for c, slope in zip(coords, slopes)]
+        sums = {}
+        for residuals, factor in weighted:
+            for label, poly in residuals:
+                sums.setdefault(label, []).append(poly * factor)
+        if any(not poly_sum(pieces).is_zero() for pieces in sums.values()):
+            return False
+    return True
