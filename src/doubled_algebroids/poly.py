@@ -626,6 +626,11 @@ def _tokenize(src: str) -> list[_Token]:
     return tokens
 
 
+def _coefficient_bits(poly: PolyExpr) -> int:
+    """Bits of the longest numerator plus those of the shared denominator."""
+    return max((abs(c).bit_length() for c in poly.terms.values()), default=0) + poly.den.bit_length()
+
+
 class _Parser:
     """Recursive-descent parser for the ASCII expression grammar:
 
@@ -635,10 +640,19 @@ class _Parser:
     atom   := INT ['/' INT] | VAR | '(' expr ')'
 
     Parentheses nest at most ``MAX_DEPTH`` deep, so the recursion stays
-    far below the interpreter's limit.
+    far below the interpreter's limit.  The multiplications of one
+    expression, each of its ``*`` and each step of its ``^`` by squaring,
+    may take at most ``MAX_PRODUCTS`` monomial products in all: each one
+    that is not of two monomials is counted by the term counts of its
+    operands before it runs, and refused once the count passes the bound.
+    No integer literal may pass ``MAX_BITS`` bits, nor may the coefficients
+    of the two operands of a multiplication together; no product or power
+    may pass total degree ``_MAX_POW_DEGREE``, nor an exponent that value.
     """
 
     MAX_DEPTH = 100
+    MAX_PRODUCTS = 250_000
+    MAX_BITS = 1 << 12
 
     def __init__(self, src: str, dim: int, params: int):
         self.src = src
@@ -647,6 +661,7 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.i = 0
         self.depth = 0
+        self.products = 0
 
     def peek(self) -> Optional[_Token]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -678,15 +693,14 @@ class _Parser:
             self.next()
             negate = True
         value = self.term()
-        if negate:
-            value = -value
+        terms = [-value if negate else value]
         while True:
             tok = self.peek()
             if tok is None or tok.kind != "op" or tok.text not in "+-":
-                return value
+                return poly_sum(terms)
             self.next()
             rhs = self.term()
-            value = value + rhs if tok.text == "+" else value - rhs
+            terms.append(rhs if tok.text == "+" else -rhs)
 
     def term(self) -> PolyExpr:
         value = self.factor()
@@ -695,7 +709,10 @@ class _Parser:
             if tok is None or tok.kind != "op" or tok.text != "*":
                 return value
             self.next()
-            value = value * self.factor()
+            rhs = self.factor()
+            if value.total_degree() + rhs.total_degree() > _MAX_POW_DEGREE:
+                raise ExprError("product exceeds the supported total degree", tok.pos)
+            value = self.times(value, rhs, tok)
 
     def factor(self) -> PolyExpr:
         value = self.atom()
@@ -709,8 +726,39 @@ class _Parser:
                 raise ExprError("negative exponent", pos)
             if etok.kind != "int":
                 raise ExprError(f"expected integer exponent, found {etok.text!r}", etok.pos)
-            value = value ** int(etok.text)
+            n = self.integer(etok)
+            if value.total_degree() * n > _MAX_POW_DEGREE:
+                raise ExprError(f"power {n} exceeds the supported total degree", tok.pos)
+            if n > _MAX_POW_DEGREE:
+                raise ExprError(f"exponent {n} is above {_MAX_POW_DEGREE}", etok.pos)
+            power = PolyExpr.one()
+            for bit in f"{n:b}":
+                power = self.times(power, power, tok)
+                if bit == "1":
+                    power = self.times(power, value, tok)
+            value = power
         return value
+
+    def integer(self, tok: _Token) -> int:
+        try:
+            value = int(tok.text)
+        except ValueError:  # past the interpreter's limit on digits
+            value = None
+        if value is None or value.bit_length() > self.MAX_BITS:
+            raise ExprError(f"integer literal longer than {self.MAX_BITS} bits", tok.pos)
+        return value
+
+    def times(self, a: PolyExpr, b: PolyExpr, tok: _Token) -> PolyExpr:
+        products = len(a.terms) * len(b.terms)
+        if products > 1:  # two monomials multiply in constant time
+            self.products += products
+        if self.products > self.MAX_PRODUCTS:
+            raise ExprError(
+                f"expression takes more than {self.MAX_PRODUCTS} monomial products to expand", tok.pos
+            )
+        if _coefficient_bits(a) + _coefficient_bits(b) > self.MAX_BITS:
+            raise ExprError(f"coefficients would pass {self.MAX_BITS} bits", tok.pos)
+        return a * b
 
     def atom(self) -> PolyExpr:
         tok = self.next()
@@ -721,10 +769,11 @@ class _Parser:
                 dtok = self.next()
                 if dtok.kind != "int":
                     raise ExprError(f"expected integer denominator, found {dtok.text!r}", dtok.pos)
-                if int(dtok.text) == 0:
+                den = self.integer(dtok)
+                if den == 0:
                     raise ExprError("zero denominator", dtok.pos)
-                return PolyExpr.const(Fraction(int(tok.text), int(dtok.text)))
-            return PolyExpr.const(int(tok.text))
+                return PolyExpr.const(Fraction(self.integer(tok), den))
+            return PolyExpr.const(self.integer(tok))
         if tok.kind == "var":
             return PolyExpr.variable(self._var(tok))
         if tok.kind == "op" and tok.text == "(":

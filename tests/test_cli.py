@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -340,6 +341,24 @@ def test_deep_nesting_ends_in_scenario_error(tmp_path, capsys, text, message):
         load_scenario(str(scenario_path))
     assert main(["run", str(scenario_path)]) == 3
     assert message in capsys.readouterr().err
+
+
+def test_an_expansion_over_the_product_bound_exits_3_at_once(tmp_path, capsys):
+    anchor = flat_anchors(2, 0)
+    anchor[0][0] = "(x1+xt1+x2+xt2)^64"
+    scenario = minimal_scenario(
+        dimension=2,
+        algebroid_E={"anchor": anchor, "C": []},
+        algebroid_Estar={"anchor": flat_anchors(2, 2), "C": []},
+    )
+    scenario_path = tmp_path / "s.json"
+    scenario_path.write_text(json.dumps(scenario), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["run", str(scenario_path)]) == 3
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: algebroid_E.anchor[0][0]: expression takes more than 250000")
 
 
 def test_twist_conditions_run_once_per_run(monkeypatch):

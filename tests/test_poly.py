@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from doubled_algebroids.poly import (
     ExprError,
     PolyExpr,
     Var,
+    _Parser,
     eta_pairing,
     parse_expr,
 )
@@ -98,6 +100,54 @@ def test_parse_rejects_zero_denominator_and_trailing():
 def test_parse_power_degree_guard():
     with pytest.raises(ExprError, match="total degree"):
         parse_expr("x1^5000", 1)
+    with pytest.raises(ExprError, match="total degree") as err:
+        parse_expr("x1^4096*x1", 1)
+    assert err.value.position == 7
+    with pytest.raises(ExprError, match="exponent 5000 is above 4096"):
+        parse_expr("3^5000", 1)
+
+
+QUARTIC = "(x1+xt1+x2+xt2)"
+
+
+@pytest.mark.parametrize(
+    "src, position",
+    [(f"{QUARTIC}^64", 15), (f"{QUARTIC}^16*{QUARTIC}^16*{QUARTIC}^16", 18)],
+    ids=["power", "product-chain"],
+)
+def test_parse_refuses_an_expansion_over_the_product_bound_at_once(src, position):
+    # (x1+xt1+x2+xt2)^64 has 47,905 terms; its last squaring alone would
+    # take 969^2 products, as would the first product of the chain.
+    start = time.perf_counter()
+    with pytest.raises(ExprError, match="more than 250000 monomial products") as err:
+        parse_expr(src, 2)
+    assert time.perf_counter() - start < 1
+    assert err.value.position == position
+    assert len(parse_expr(f"{QUARTIC}^16", 2).terms) == 969
+
+
+def test_parse_expands_a_product_at_the_bound():
+    def powers(var, count):
+        return "(" + "+".join(f"{var}^{i}" for i in range(count)) + ")"
+
+    assert _Parser.MAX_PRODUCTS == 500 * 500
+    assert len(parse_expr(f"{powers('x1', 500)}*{powers('xt1', 500)}", 1).terms) == 500 * 500
+    with pytest.raises(ExprError, match="monomial products"):
+        parse_expr(f"{powers('x1', 501)}*{powers('xt1', 500)}", 1)
+
+
+def test_parse_bounds_the_coefficients():
+    assert parse_expr("3^2048", 1) == PolyExpr.const(3**2048)
+    with pytest.raises(ExprError, match="coefficients would pass 4096 bits") as err:
+        parse_expr("(3^2048)^2048", 1)
+    assert err.value.position == 8
+    literal = str(2**4096)
+    with pytest.raises(ExprError, match="integer literal longer than 4096 bits") as err:
+        parse_expr(f"x1 + {literal}", 1)
+    assert err.value.position == 5
+    assert parse_expr(f"1/{literal[:-1]}*x1", 1) == PolyExpr.coord(1) * Fraction(1, 2**4096 // 10)
+    with pytest.raises(ExprError, match="integer literal"):
+        parse_expr("1" * 5000, 1)
 
 
 def test_roundtrip_fixed_point():
