@@ -646,8 +646,10 @@ class _Parser:
     that is not of two monomials is counted by the term counts of its
     operands before it runs, and refused once the count passes the bound.
     No integer literal may pass ``MAX_BITS`` bits, nor may the coefficients
-    of the two operands of a multiplication together; no product or power
-    may pass total degree ``_MAX_POW_DEGREE``, nor an exponent that value.
+    of the two operands of a multiplication together or of the whole
+    expression (a sum of fractions grows its shared denominator); no product
+    or power may pass total degree ``_MAX_POW_DEGREE``, nor an exponent that
+    value.
     """
 
     MAX_DEPTH = 100
@@ -684,6 +686,8 @@ class _Parser:
         tok = self.peek()
         if tok is not None:
             raise ExprError(f"unexpected trailing {tok.text!r}", tok.pos)
+        if _coefficient_bits(value) > self.MAX_BITS:
+            raise ExprError(f"coefficients pass {self.MAX_BITS} bits", 0)
         return value
 
     def expr(self) -> PolyExpr:

@@ -148,6 +148,11 @@ def test_parse_bounds_the_coefficients():
     assert parse_expr(f"1/{literal[:-1]}*x1", 1) == PolyExpr.coord(1) * Fraction(1, 2**4096 // 10)
     with pytest.raises(ExprError, match="integer literal"):
         parse_expr("1" * 5000, 1)
+    # 1/2 + 1/3 + ... over the first 500 primes has a shared denominator of
+    # about 5,000 bits
+    primes = [n for n in range(2, 3572) if all(n % d for d in range(2, int(n**0.5) + 1))]
+    with pytest.raises(ExprError, match="coefficients pass 4096 bits"):
+        parse_expr("+".join(f"1/{p}" for p in primes) + "+x1", 1)
 
 
 def test_roundtrip_fixed_point():
