@@ -841,7 +841,10 @@ _F, _G = ("f", "function"), ("g", "function")
 # order 2 has total order 0, so it is tensorial in every input (its value at
 # a point depends only on the values of the inputs there) and generic
 # constant data decides it.  When every such commutator vanishes, the
-# residual is first order in each input.
+# residual is first order in each input.  One linear form in the admissible
+# coordinates of an input polarizes all its commutators into one sum, so
+# the certificate costs two residual evaluations per input beyond the one
+# shared by all inputs.
 RESIDUALS: dict[str, Residual] = {
     "C1": Residual(2, _c1_residual, (_E1, _E2, _E3), _cyclic_triples),
     "C2": Residual(1, _anchor_residual, (_E1, _E2), lambda R, s, fs: itertools.product(s, repeat=2)),

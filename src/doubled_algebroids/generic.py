@@ -4,10 +4,12 @@ Generic data puts a fresh parameter coefficient on every admissible
 monomial of every component, so a residual that vanishes on it vanishes
 for all data of that degree.  ``decide`` proves a residual on generic data
 of its jet degree, probes concrete inputs, and rebuilds generic data at
-the full degree only for a witness.  A witness makes a nonzero residual
-concrete: a 0/1 parameter assignment that keeps it nonzero, the inputs
-under that assignment, and a small integer point where it evaluates to a
-nonzero rational.
+the full degree only for a witness.  An order-2 residual that one
+polarization on generic constants certifies first order in each input
+(``_first_order_in_every_input``) is proved on degree-1 data.  A witness
+makes a nonzero residual concrete: a 0/1 parameter assignment that keeps
+it nonzero, the inputs under that assignment, and a small integer point
+where it evaluates to a nonzero rational.
 
 Inputs are ``PolyExpr`` values or sections with the same ``param_indices``,
 ``subs_params`` and ``scaled`` methods plus ``to_json``; admissibility is
@@ -142,9 +144,10 @@ def decide(
     The proof runs on ``generic_inputs(jet, _Allocator(start))`` at the jet
     degree ``min(order, degree)``, or 1 for an order-2 residual that
     ``_first_order_in_every_input`` certifies on the ``coordinates`` of each
-    input.  An order-1 residual at degree >= 1 is proved first, as no
-    admissible probe can fail once that passes; the others run ``probes()``
-    first, as their certificate costs more than the probes that find their
+    input, at 1 + 2k residual evaluations for k inputs.  An order-1
+    residual at degree >= 1 is proved first, as no admissible probe can fail
+    once that passes; the others run ``probes()`` first, as their
+    certificate and proof cost more than the probes that find their
     failures.  A failed proof below ``degree`` is redone there for a witness.
     """
 
