@@ -645,11 +645,10 @@ class _Parser:
     may take at most ``MAX_PRODUCTS`` monomial products in all: each one
     that is not of two monomials is counted by the term counts of its
     operands before it runs, and refused once the count passes the bound.
-    No integer literal may pass ``MAX_BITS`` bits, nor may the coefficients
-    of the two operands of a multiplication together or of the whole
-    expression (a sum of fractions grows its shared denominator); no product
-    or power may pass total degree ``_MAX_POW_DEGREE``, nor an exponent that
-    value.
+    The coefficients of the two operands of a multiplication together, and
+    those of the whole expression (a sum of fractions grows its shared
+    denominator), may not pass ``MAX_BITS`` bits; no product or power may
+    pass total degree ``_MAX_POW_DEGREE``, nor an exponent that value.
     """
 
     MAX_DEPTH = 100
@@ -745,12 +744,9 @@ class _Parser:
 
     def integer(self, tok: _Token) -> int:
         try:
-            value = int(tok.text)
+            return int(tok.text)
         except ValueError:  # past the interpreter's limit on digits
-            value = None
-        if value is None or value.bit_length() > self.MAX_BITS:
-            raise ExprError(f"integer literal longer than {self.MAX_BITS} bits", tok.pos)
-        return value
+            raise ExprError(f"integer literal of {len(tok.text)} digits", tok.pos) from None
 
     def times(self, a: PolyExpr, b: PolyExpr, tok: _Token) -> PolyExpr:
         products = len(a.terms) * len(b.terms)

@@ -142,12 +142,12 @@ def test_parse_bounds_the_coefficients():
         parse_expr("(3^2048)^2048", 1)
     assert err.value.position == 8
     literal = str(2**4096)
-    with pytest.raises(ExprError, match="integer literal longer than 4096 bits") as err:
+    with pytest.raises(ExprError, match="coefficients pass 4096 bits"):
         parse_expr(f"x1 + {literal}", 1)
-    assert err.value.position == 5
     assert parse_expr(f"1/{literal[:-1]}*x1", 1) == PolyExpr.coord(1) * Fraction(1, 2**4096 // 10)
-    with pytest.raises(ExprError, match="integer literal"):
-        parse_expr("1" * 5000, 1)
+    with pytest.raises(ExprError, match="integer literal of 5000 digits") as err:
+        parse_expr("x1 + " + "1" * 5000, 1)
+    assert err.value.position == 5
     # 1/2 + 1/3 + ... over the first 500 primes has a shared denominator of
     # about 5,000 bits
     primes = [n for n in range(2, 3572) if all(n % d for d in range(2, int(n**0.5) + 1))]
