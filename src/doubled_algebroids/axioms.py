@@ -2,19 +2,14 @@
 
 Every check reduces an axiom to polynomial residuals and decides them by
 canonical-form zero testing on generic inputs: a fresh parameter
-coefficient on every admissible monomial of every component.  Each
-residual ``_decide`` proves has one entry in ``RESIDUALS``: its function,
-its total order k as a multidifferential operator, its input slots and its
-probes.  Its value at a point depends only on the k-jets of the inputs
-there.  Generic data of degree k takes every admissible k-jet at every
-point, so a PASS of an order-k check proved at degree k <= the family
-degree covers all admissible polynomial data of any degree.  FAIL always
+coefficient on every admissible monomial of every component.  ``_decide``
+hands the ``RESIDUALS`` entry of a residual to ``generic.decide``, which
+proves it on generic data of its jet degree and decides a battery of small
+concrete probes, so that failures come with readable counterexamples.  The
+comment above ``RESIDUALS`` says why a PASS covers all admissible
+polynomial data and why one evaluation decides a battery.  FAIL always
 carries a witness: a concrete substitution under which some residual
 component evaluates to a nonzero rational.
-
-``_decide`` hands a ``RESIDUALS`` entry to ``generic.decide``, which proves
-it on generic data of its jet degree and probes small concrete inputs, so
-that failures come with readable counterexamples.
 """
 
 from __future__ import annotations
@@ -793,14 +788,6 @@ def _triples(R, sections, functions):
     return itertools.islice(itertools.product(sections, repeat=3), 120)
 
 
-def _cyclic_triples(R, sections, functions):
-    # The first 120 triples less rotations of earlier (lexicographically
-    # smaller) ones, on which a cyclic sum such as C1's takes the same value.
-    for i, j, k in itertools.islice(itertools.product(range(len(sections)), repeat=3), 120):
-        if (i, j, k) <= min((j, k, i), (k, i, j)):
-            yield sections[i], sections[j], sections[k]
-
-
 def _derivation_probes(R, sections, functions):
     # pairs of E parts with zero E* parts, then the mirror
     xs = [s.X for s in sections if not s.X.is_zero()]
@@ -816,37 +803,31 @@ _E1, _E2, _E3 = (("e1", "section"), ("e2", "section"), ("e3", "section"))
 _F, _G = ("f", "function"), ("g", "function")
 
 # Keyed by the check id given to ``_decide``.  ``order`` is the total order
-# of the residual as a multidifferential operator in Grothendieck's
-# algebraic sense (EGA IV 16.8): counted over all inputs together, no term
-# differentiates them more than k times, so every (k+1)-fold commutator
-# with multiplication by admissible coordinates, each acting on any one
-# input, vanishes.  tests/test_jet_order.py checks this for each entry and
-# for each primitive: ``c_bracket``, ``twisted_c_bracket``, ``D_op``,
-# ``rho_V_dot``, the algebroid bracket, ``d_differential`` and ``schouten``
-# have total order 1 and ``pairing`` order 0.  C2, C3, C5 and the bianchi
-# comparison apply one of them at a time, so they have order 1.  C1 nests a
-# bracket in a bracket, the derivation condition a bracket in a
-# differential, and C4 and the strong constraint pair two gradients, so
-# they have order 2.
+# k of the residual as a multidifferential operator (EGA IV 16.8): every
+# (k+1)-fold commutator with multiplication by admissible coordinates, each
+# acting on any one input, vanishes.  tests/test_jet_order.py checks this
+# for each entry and primitive (``c_bracket``, ``twisted_c_bracket``,
+# ``D_op``, ``rho_V_dot``, the algebroid bracket, ``d_differential`` and
+# ``schouten`` have order 1, ``pairing`` order 0).  C1 nests a bracket in a
+# bracket, the derivation condition a bracket in a differential, and C4 and
+# the strong constraint pair two gradients (order 2); the others have order
+# 1.  The value of an order-k operator at a point depends only on the k-jets
+# of the inputs there, and generic data of degree k takes every admissible
+# k-jet, so a residual that vanishes on it vanishes for admissible data of
+# any degree.  A 2-fold commutator in one input of an order-2 residual has
+# order 0, so generic constants decide it; when all vanish
+# (``generic._first_order_in_every_input``), degree-1 data decides the
+# residual.
 #
-# Total order k bounds the order in each input, and an operator of order k
-# in every input has a value at a point that depends only on the k-jets of
-# the inputs there.  Generic data of degree k takes every admissible k-jet
-# at every point, so a residual that vanishes on it vanishes for admissible
-# data of any degree.
-#
-# An order-2 residual may still be first order in every input, and then
-# degree-1 data decides it.  ``generic._first_order_in_every_input``
-# certifies this: a 2-fold commutator in one input of an operator of total
-# order 2 has total order 0, so it is tensorial in every input (its value at
-# a point depends only on the values of the inputs there) and generic
-# constant data decides it.  When every such commutator vanishes, the
-# residual is first order in each input.  One linear form in the admissible
-# coordinates of an input polarizes all its commutators into one sum, so
-# the certificate costs two residual evaluations per input beyond the one
-# shared by all inputs.
+# ``generic._first_failing_probe`` decides a probe battery from one
+# evaluation on polarized inputs, sum_a w_a s_a over the candidates of each
+# slot.  Setting weights to 0 or 1 commutes with coordinate derivatives,
+# sums and products, and the only branches on data in ``doubled``,
+# ``algebroid`` and the residuals are ``is_zero()`` shortcuts that skip zero
+# work, so each probe's residual is the polarized one with the probe's
+# weights set to 1 and the others to 0.
 RESIDUALS: dict[str, Residual] = {
-    "C1": Residual(2, _c1_residual, (_E1, _E2, _E3), _cyclic_triples),
+    "C1": Residual(2, _c1_residual, (_E1, _E2, _E3), _triples),
     "C2": Residual(1, _anchor_residual, (_E1, _E2), lambda R, s, fs: itertools.product(s, repeat=2)),
     "C3": Residual(
         1, _leibniz_residual, (_E1, _E2, _F),

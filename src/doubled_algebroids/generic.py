@@ -1,24 +1,18 @@
-"""Generic test data, the one decision procedure, and witnesses.
+"""Generic test data, the one decision procedure ``decide`` and the one
+witness builder ``witness``.
 
 Generic data puts a fresh parameter coefficient on every admissible
 monomial of every component, so a residual that vanishes on it vanishes
-for all data of that degree.  ``decide`` proves a residual on generic data
-of its jet degree, probes concrete inputs, and rebuilds generic data at
-the full degree only for a witness.  An order-2 residual that one
-polarization on generic constants certifies first order in each input
-(``_first_order_in_every_input``) is proved on degree-1 data.  A witness
-makes a nonzero residual concrete: a 0/1 parameter assignment that keeps
-it nonzero, the inputs under that assignment, and a small integer point
-where it evaluates to a nonzero rational.
-
-Inputs are ``PolyExpr`` values or sections with the same ``param_indices``,
-``subs_params`` and ``scaled`` methods plus ``to_json``; admissibility is
-any object with ``allowed_vars(dim)``, or None for every coordinate.
+for all data of that degree.  Inputs are ``PolyExpr`` values or sections
+with the same ``param_indices``, ``subs_params`` and ``scaled`` methods
+plus ``+`` and ``to_json``; admissibility is any object with
+``allowed_vars(dim)``, or None for every coordinate.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import comb
 from typing import Callable, Iterable, Optional
 
@@ -82,10 +76,6 @@ def _generic_poly(dim: int, degree: int, admissibility, alloc: _Allocator) -> Po
 # -- deciding a residual ----------------------------------------------------------
 
 
-def _vanishes(residuals: Residuals) -> bool:
-    return all(poly.is_zero() for _, poly in residuals)
-
-
 def _first_order_in_every_input(
     residual: Callable[..., Residuals],
     inputs: dict,
@@ -94,22 +84,14 @@ def _first_order_in_every_input(
 ) -> bool:
     """True when, for every input u, each 2-fold commutator of the residual
     with multiplication of u by two of its admissible coordinates vanishes
-    on ``inputs``, which are generic constants.
-
-    One fresh weight s_i per coordinate c_i gives the linear form
-    l = sum_i s_i c_i.  Multiplications commute, so
-    P(l^2 u) - 2 l P(l u) + l^2 P(u) = sum_ij s_i s_j [[P, c_i], c_j](u),
-    which in characteristic 0 vanishes exactly when each commutator does:
-    k inputs cost 1 + 2k residual evaluations.  A component c that does not
-    involve u but is nonzero on the constants adds c(1 - l)^2 and makes the
-    sum nonzero too; the residual then fails on generic data anyway, so
-    declining the certificate leaves the report unchanged.
-
-    The weights come from ``alloc`` after the constant inputs.  The family
-    degree is at least 2 here, and ``axioms.parameter_count`` reserves each
-    component of u at least 1 + n parameters at degree 2 where degree 0
-    takes one, so the n weights of u always fit.
-    """
+    on ``inputs``, which are generic constants: with a fresh weight s_i per
+    coordinate c_i and l = sum_i s_i c_i, P(l^2 u) - 2 l P(l u) + l^2 P(u)
+    = sum_ij s_i s_j [[P, c_i], c_j](u) vanishes (in characteristic 0)
+    exactly when each commutator does.  A component without u that is
+    nonzero on the constants makes the sum nonzero too, but the residual then
+    fails on generic data anyway.  The weights come from ``alloc`` after the
+    constants; at family degree >= 2 ``axioms.parameter_count`` reserves
+    each component of u 1 + n parameters, room for its n weights."""
     base = residual(**inputs)
     for name, variables in coordinates.items():
         form = poly_sum([PolyExpr.param(alloc.fresh()) * PolyExpr.variable(v) for v in variables])
@@ -128,6 +110,45 @@ def _first_order_in_every_input(
     return True
 
 
+def _first_failing_probe(
+    residual: Callable[..., Residuals], probes: Iterable[dict]
+) -> Optional[tuple[Residuals, dict]]:
+    """The residuals and inputs of the first probe on which ``residual`` does
+    not vanish, or None, from one evaluation on polarized inputs: each slot
+    weights its candidates (distinct objects, as the batteries reuse them)
+    by fresh weights above the probes' parameters, and a probe's residual
+    keeps the terms whose weights are all the probe's (see the comment above
+    ``axioms.RESIDUALS``).  The sum also covers tuples the battery leaves
+    out, so it may be nonzero when no probe fails."""
+    battery = list(probes)
+    if not battery:
+        return None
+    slots = {name: list({id(probe[name]): probe[name] for probe in battery}.values()) for name in battery[0]}
+    held = set().union(*(c.param_indices() for slot in slots.values() for c in slot))
+    first, weight, inputs = max(held, default=0) + 1, {}, {}
+    fresh = itertools.count(first)  # unbounded: the weights never reach a report, so no budget applies
+    for name, slot in slots.items():
+        parts = []
+        for c in slot:
+            weight[name, id(c)] = w = next(fresh)
+            parts.append(c * PolyExpr.param(w) if isinstance(c, PolyExpr) else c.scaled(PolyExpr.param(w)))
+        inputs[name] = sum(parts[1:], parts[0])
+    groups: dict[tuple[int, ...], Counter] = {}  # the terms of all components by the weights they carry
+    for i, (_, poly) in enumerate(residual(**inputs)):
+        for (key, params), c in poly.terms.items():
+            weights = tuple(sorted({p for p in params if p >= first}))
+            groups.setdefault(weights, Counter())[i, key, tuple(p for p in params if p < first)] += c
+    for probe in battery:
+        chosen = sorted(weight[name, id(obj)] for name, obj in probe.items())
+        value: Counter = Counter()
+        for r in range(len(chosen) + 1):
+            for subset in itertools.combinations(chosen, r):
+                value.update(groups.get(subset, {}))
+        if any(value.values()):
+            return residual(**probe), probe
+    return None
+
+
 def decide(
     residual: Callable[..., Residuals],
     order: int,
@@ -144,11 +165,11 @@ def decide(
     The proof runs on ``generic_inputs(jet, _Allocator(start))`` at the jet
     degree ``min(order, degree)``, or 1 for an order-2 residual that
     ``_first_order_in_every_input`` certifies on the ``coordinates`` of each
-    input, at 1 + 2k residual evaluations for k inputs.  An order-1
-    residual at degree >= 1 is proved first, as no admissible probe can fail
-    once that passes; the others run ``probes()`` first, as their
-    certificate and proof cost more than the probes that find their
-    failures.  A failed proof below ``degree`` is redone there for a witness.
+    input.  An order-1 residual at degree >= 1 is proved first, as no
+    admissible probe can fail once that passes; the others decide the
+    battery ``probes()`` first, at one residual evaluation when it passes
+    and two when it fails.  A failed proof below ``degree`` is redone there
+    for a witness.
     """
 
     def proof(jet: int) -> tuple[Residuals, dict]:
@@ -157,18 +178,16 @@ def decide(
 
     jet = min(order, degree)
     decided = proof(jet) if order == 1 <= degree else None
-    if decided is None or not _vanishes(decided[0]):
-        for probe in probes():
-            probed = residual(**probe)
-            if not _vanishes(probed):
-                return probed, probe
+    if decided is None or not all(poly.is_zero() for _, poly in decided[0]):
+        if (failing := _first_failing_probe(residual, probes())) is not None:
+            return failing
     if decided is None:
         if jet == 2:
             alloc = _Allocator(start)
             if _first_order_in_every_input(residual, generic_inputs(0, alloc), coordinates, alloc):
                 jet = 1
         decided = proof(jet)
-    if jet < degree and not _vanishes(decided[0]):
+    if jet < degree and not all(poly.is_zero() for _, poly in decided[0]):
         return proof(degree)
     return decided
 

@@ -1,9 +1,9 @@
 """``_decide`` gives the reports of probing first and proving second.
 
-Order-1 entries are proved before they are probed, and C1 skips rotated
-probe triples.  Neither may change a report: the reference below restates
-the probes-first order, with C1 probed on all of the first 120 triples, and
-every ``RESIDUALS`` entry must get the same report from both.
+Order-1 entries are proved before they are probed, and one polarized
+evaluation stands for the whole probe battery.  Neither may change a
+report: the reference below restates the probes-first order, one probe at a
+time, and every ``RESIDUALS`` entry must get the same report from both.
 """
 
 import itertools
@@ -27,12 +27,21 @@ from doubled_algebroids.axioms import (
 )
 from doubled_algebroids.cli import load_scenario
 from doubled_algebroids.doubled import Admissibility, DoubledRealization, DoubledSection, FluxTensor
-from doubled_algebroids.generic import _Allocator, _first_order_in_every_input
-from doubled_algebroids.poly import PolyExpr
+from doubled_algebroids.generic import (
+    PARAMETER_BUDGET,
+    _Allocator,
+    _first_failing_probe,
+    _first_order_in_every_input,
+    _generic_poly,
+    decide,
+)
+from doubled_algebroids.poly import KIND_X, KIND_XT, DoubledIndex, PolyExpr, Var
 
 HTWIST = load_scenario(Path(__file__).parent / "fixtures" / "scenarios" / "htwist-closed-d3.json")
-ONE = PolyExpr.one()
+ONE, ZERO = PolyExpr.one(), PolyExpr.zero()
 X1, XT1 = PolyExpr.coord(1), PolyExpr.dual(1)
+X1_INDEX = DoubledIndex(KIND_X, 1)
+X1_VAR, XT1_VAR = Var(KIND_X, 1), Var(KIND_XT, 1)
 
 
 def _first_120_triples(R, sections, functions):
@@ -118,14 +127,94 @@ def test_decide_reports_what_probing_first_reports(case, degree, monkeypatch):
         assert _decide(check_id, R, family, flux, explicit) == expected, check_id
 
 
-@pytest.mark.parametrize("count", range(1, 8))
-def test_c1_battery_is_the_first_120_triples_without_earlier_rotations(count):
-    sections = [f"s{i}" for i in range(count)]
-    battery = list(RESIDUALS["C1"].probes(None, sections, []))
-    yielded = []
-    for triple in itertools.islice(itertools.product(sections, repeat=3), 120):
-        if not any(triple[k:] + triple[:k] in yielded for k in (1, 2)):
-            yielded.append(triple)
-    assert battery == yielded
-    if count == 6:
-        assert len(battery) == 65
+def battery(check_id, R, explicit_sections=()):
+    """The probes ``_decide`` hands to ``generic.decide``, as a list."""
+    entry = RESIDUALS[check_id]
+    names = [name for name, _ in entry.slots]
+    sections = list(explicit_sections) + _battery_sections(R)
+    functions = _battery_functions(R, R.function_constraint)
+    return [dict(zip(names, values)) for values in entry.probes(R, sections, functions)]
+
+
+def counted(residual_fn):
+    """``residual_fn`` with the inputs of each call recorded in ``.calls``."""
+
+    def call(**inputs):
+        call.calls.append(inputs)
+        return residual_fn(**inputs)
+
+    call.calls = []
+    return call
+
+
+def first_failing_by_loop(residual_fn, probes):
+    for probe in probes:
+        residuals = residual_fn(**probe)
+        if any(not poly.is_zero() for _, poly in residuals):
+            return residuals, probe
+    return None
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_one_evaluation_finds_the_first_failing_probe(case):
+    """The polarized battery names the probe the loop names, or none, at one
+    residual evaluation when no probe fails and two when one does.  The
+    battery does not depend on the family degree, so one run per case
+    covers degrees 0-2; ``test_decide_reports_what_probing_first_reports``
+    covers them end to end."""
+    R, flux, explicit, check_ids = CASES[case]
+    for check_id in check_ids:
+        residual_fn = partial(RESIDUALS[check_id].residual, R, flux)
+        probes = battery(check_id, R, explicit)
+        call = counted(residual_fn)
+        expected = first_failing_by_loop(residual_fn, probes)
+        assert _first_failing_probe(call, probes) == expected, check_id
+        assert len(call.calls) == (0 if not probes else 1 if expected is None else 2), check_id
+
+
+def test_a_cross_term_that_no_probe_takes_leaves_the_check_to_the_proof():
+    """d/dx1(f) * g vanishes on the probes (x1, 0) and (1, x1), but not on
+    their polarized sum (x1 w1 + w2, x1 w4), whose cross term w1 w4 x1 no
+    probe takes.  ``decide`` must go on to the proofs as a passing battery
+    does, and fail at the family degree, whether it proves first (order 1)
+    or not (order 2, certified first order in each input)."""
+
+    def residual_fn(f, g):
+        return [("r", f.partial(X1_INDEX) * g)]
+
+    def generic_inputs(degree, alloc):
+        return {name: _generic_poly(1, degree, None, alloc) for name in ("f", "g")}
+
+    probes = [{"f": X1, "g": ZERO}, {"f": ONE, "g": X1}]
+    call = counted(residual_fn)
+    assert _first_failing_probe(call, probes) is None
+    assert not all(poly.is_zero() for _, poly in residual_fn(**call.calls[0]))
+    assert len(call.calls) == 1
+    coordinates = dict.fromkeys(("f", "g"), [X1_VAR, XT1_VAR])
+    for order, degree in ((1, 1), (1, 2), (2, 2)):
+        inputs = generic_inputs(degree, _Allocator(1))
+        expected = (residual_fn(**inputs), inputs)
+        assert decide(residual_fn, order, degree, 1, generic_inputs, lambda: probes, coordinates) == expected
+
+
+def test_weights_lie_above_the_parameters_of_explicit_sections():
+    """Explicit sections may carry parameters, up to the parameter budget;
+    the battery weights are allocated above them, past the budget if need
+    be, and the reports stay those of probing first."""
+    R = DoubledRealization.flat(1)
+    P3, P7, LAST = PolyExpr.param(3), PolyExpr.param(7), PolyExpr.param(PARAMETER_BUDGET)
+    explicit = [
+        DoubledSection.from_parts((XT1 * XT1 * P3,), (X1 * P7,)),
+        DoubledSection.from_parts((P3,), (ONE,)),
+        DoubledSection.from_parts((X1 * LAST,), (ZERO,)),
+    ]
+    family = GenericSectionFamily(degree=2)
+    for check_id in WITHOUT_BIANCHI:
+        probes = battery(check_id, R, explicit)
+        held = set().union(*(obj.param_indices() for probe in probes for obj in probe.values()))
+        call = counted(partial(RESIDUALS[check_id].residual, R, None))
+        _first_failing_probe(call, probes)
+        weights = set().union(*(obj.param_indices() for obj in call.calls[0].values())) - held
+        assert min(weights) > max(held, default=0), check_id
+        expected = probes_first(check_id, R, family, None, explicit)
+        assert _decide(check_id, R, family, None, explicit) == expected, check_id
